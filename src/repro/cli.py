@@ -21,6 +21,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -291,12 +292,30 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: rejected at parse time, before any index is built."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser (exposed for testing)."""
+    """The top-level argument parser (exposed for testing).
+
+    Prefix matching is off everywhere: ``--worker 2`` is an error, not a
+    silent ``--workers 2``.
+    """
     parser = argparse.ArgumentParser(
-        prog="repro", description="Graph-based vector search reproduction"
+        prog="repro",
+        description="Graph-based vector search reproduction",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     sub.add_parser("methods", help="list registered methods").set_defaults(
         func=_cmd_methods
@@ -315,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         help="worker processes for the query batch AND, for II-based methods "
         "(NSW/HNSW/LSHAPG), the batched graph build (1 = the paper's "
@@ -396,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         help="worker processes for the initial build and mutation batches "
         "(graph state is bit-identical at any count)",

@@ -22,7 +22,12 @@ without touching the index itself, with three strategies behind one API:
     are scored, while filtered-out nodes still *route* — each expansion
     gathers neighbors through up to ``expansion`` consecutive failing
     nodes, so selective predicates don't strand the traversal on an
-    island of failing neighbors.
+    island of failing neighbors.  Two implementations, bit-identical in
+    ids, distances, hops and distance calls: :func:`acorn_beam_search`
+    here (the reference; single queries and ``kernel="scalar"``) and the
+    lockstep kernel's expand policy
+    (:class:`~repro.core.kernels.AcornExpansion`, which also states the
+    segment-order rule the identity rests on; batches).
 ``rwalks``
     RWalks-style offline edge augmentation: attribute-diffusing random
     walks add same-label shortcut edges on top of the existing graph (the
@@ -58,8 +63,8 @@ FILTER_STRATEGIES = ("inline", "acorn", "rwalks")
 
 
 # ----------------------------------------------------------------------
-# ACORN-style traversal (scalar; the only implementation, so every
-# backend/worker configuration runs exactly this code)
+# ACORN-style traversal, scalar: the reference the lockstep policy
+# (kernels.AcornExpansion) must match bit for bit
 # ----------------------------------------------------------------------
 def _expand_through_failing(graph, allow_mask, visited_mask, frontier, depth):
     """Gather passing nodes reachable through ``depth`` failing layers.
@@ -70,6 +75,10 @@ def _expand_through_failing(graph, allow_mask, visited_mask, frontier, depth):
     visited but never scored, so distance accounting stays a pure function
     of the passing set.  Frontiers are sorted-unique at every layer, so
     the result is independent of gather order.
+
+    Returns ``(found, frontier)``: the passing nodes, and the failing
+    frontier left after the last layer (empty once the component is
+    exhausted) — where a caller that found nothing resumes widening.
     """
     found = []
     for _ in range(depth):
@@ -79,6 +88,7 @@ def _expand_through_failing(graph, allow_mask, visited_mask, frontier, depth):
         nbrs = np.unique(np.concatenate(nexts)) if nexts else frontier[:0]
         fresh = nbrs[~visited_mask[nbrs]]
         if not fresh.size:
+            frontier = fresh
             break
         visited_mask[fresh] = True
         passing = fresh[allow_mask[fresh]]
@@ -86,8 +96,8 @@ def _expand_through_failing(graph, allow_mask, visited_mask, frontier, depth):
             found.append(passing)
         frontier = fresh[~allow_mask[fresh]]
     if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(found)
+        return np.empty(0, dtype=np.int64), frontier
+    return np.concatenate(found), frontier
 
 
 def acorn_beam_search(
@@ -132,20 +142,16 @@ def acorn_beam_search(
     passing = seeds[allow_mask[seeds]]
     failing = seeds[~allow_mask[seeds]]
     if failing.size:
-        more = _expand_through_failing(
+        more, failing = _expand_through_failing(
             graph, allow_mask, visited_mask, failing, expansion
         )
         passing = np.unique(np.concatenate([passing, more]))
-    # a fully-failing neighborhood keeps widening until something passes
-    while not passing.size and failing.size:
-        nexts = [graph.neighbors(int(node)) for node in failing]
-        nbrs = np.unique(np.concatenate(nexts)) if nexts else failing[:0]
-        fresh = nbrs[~visited_mask[nbrs]]
-        if not fresh.size:
-            break
-        visited_mask[fresh] = True
-        passing = fresh[allow_mask[fresh]]
-        failing = fresh[~allow_mask[fresh]]
+        # a fully-failing neighborhood keeps widening, one layer at a time,
+        # from the frontier the expansion stopped at
+        while not passing.size and failing.size:
+            passing, failing = _expand_through_failing(
+                graph, allow_mask, visited_mask, failing, 1
+            )
 
     queue = NeighborQueue(beam_width)
     q64, q_sq = computer.prepare_query(query)
@@ -170,7 +176,7 @@ def acorn_beam_search(
         cand = fresh[allow_mask[fresh]]
         blocked = fresh[~allow_mask[fresh]]
         if blocked.size:
-            more = _expand_through_failing(
+            more, _ = _expand_through_failing(
                 graph, allow_mask, visited_mask, blocked, expansion
             )
             if more.size:
@@ -438,12 +444,14 @@ class FilteredIndex:
     ) -> list[SearchResult]:
         """Batched filtered search, bit-identical to per-query :meth:`search`.
 
-        ``inline`` and ``rwalks`` route through the vectorized multi-query
-        kernel with per-query exclude masks (``scalar`` falls back to the
-        reference loop); ``acorn`` has a single scalar implementation, so
-        every backend runs identical code.
+        Every strategy routes through the vectorized multi-query kernel
+        (``scalar`` falls back to the per-query reference loop): ``inline``
+        and ``rwalks`` with per-query exclude masks on the finished beams,
+        ``acorn`` with the same exclude rows as the kernel's admit/expand
+        policy, so a batch advances in lockstep with one segmented distance
+        call per step.
         """
-        from .kernels import batch_search, resolve_backend
+        from .kernels import AcornExpansion, batch_search, resolve_backend
 
         queries = np.atleast_2d(np.asarray(queries))
         n_queries = queries.shape[0]
@@ -453,7 +461,7 @@ class FilteredIndex:
             else np.asarray(query_indices, dtype=np.int64)
         )
         backend = resolve_backend(kernel)
-        if self.strategy == "acorn" or backend == "scalar":
+        if backend == "scalar":
             results = []
             for j in range(n_queries):
                 self.seed_query_rng(int(indices[j]))
@@ -473,13 +481,14 @@ class FilteredIndex:
             mark = computer.checkpoint()
             seeds_per_query.append(self.inner._query_seeds(queries[j]))
             seed_calls.append(computer.since(mark))
-        masks = [
-            self._exclude[int(i) % max(len(self.predicates), 1)]
-            for i in indices
-        ]
+        rows = indices % max(len(self.predicates), 1)
+        acorn = self.strategy == "acorn"
         results = batch_search(
             graph, computer, queries, seeds_per_query,
-            k=k, beam_width=width, backend=backend, exclude_mask=masks,
+            k=k, beam_width=width, backend=backend,
+            exclude_mask=None if acorn else [self._exclude[row] for row in rows],
+            acorn=AcornExpansion(self._exclude, rows, self.expansion)
+            if acorn else None,
         )
         for result, calls in zip(results, seed_calls):
             result.distance_calls += calls

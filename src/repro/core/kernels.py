@@ -66,6 +66,7 @@ from .distances import DistanceComputer
 from .graph import CSRGraph
 
 __all__ = [
+    "AcornExpansion",
     "KERNEL_BACKENDS",
     "have_numba",
     "resolve_backend",
@@ -371,6 +372,108 @@ def _merge_batch_python(
         )
 
 
+class AcornExpansion:
+    """ACORN admit/expand policy for :func:`_search_chunk` (per-lane filters).
+
+    The lockstep form of :func:`~repro.core.filtered.acorn_beam_search`:
+    only nodes passing a lane's predicate are scored or enter its beam,
+    and nodes failing it still *route* — every gathered frontier is
+    extended through up to ``expansion`` consecutive failing layers, for
+    the whole chunk at once (one CSR gather per layer, per-lane dedup by
+    one ``np.unique`` over ``row * n + id`` keys).
+
+    ``exclude`` is a ``(rows, n)`` bool matrix (``True`` = fails the
+    predicate) and ``rows[j]`` the row query ``j`` filters by; the matrix
+    is indexed per gathered ``(row, id)`` pair, never copied or inverted.
+
+    **Segment-order rule.**  GEMV bits depend on the gathered row count
+    and tie replay on offer order, so each lane's scored segment must be
+    exactly the id sequence the scalar loop passes to
+    ``to_query_prepared``: the admitted ids in the order given (adjacency
+    order on a hop, ascending on the seed phase, whose seeds arrive
+    sorted-unique) when routing through the lane's failing ids reached no
+    passing node, and ``np.unique(admitted ∪ reached)`` — ascending,
+    duplicates dropped — when it did.
+    """
+
+    __slots__ = ("exclude", "rows", "expansion")
+
+    def __init__(self, exclude: np.ndarray, rows, expansion: int = 2):
+        if expansion < 1:
+            raise ValueError("expansion must be >= 1")
+        self.exclude = exclude
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.expansion = expansion
+
+    def chunk(self, start: int, stop: int) -> "AcornExpansion":
+        """The policy of queries ``start:stop`` (lane ``j`` = query ``start + j``)."""
+        return AcornExpansion(self.exclude, self.rows[start:stop], self.expansion)
+
+    def admit(self, graph, visited, lanes, ids, owners, widen=False):
+        """Turn gathered frontiers into the segments their lanes score.
+
+        ``ids[t]`` was gathered for lane ``lanes[owners[t]]`` (``owners``
+        non-decreasing) and is already marked in ``visited``.  Returns the
+        ``(ids, owners)`` pairs to score, grouped by owner under the
+        segment-order rule.  ``widen`` is the seed phase's extra: a lane
+        with no passing node after ``expansion`` layers keeps routing one
+        layer at a time until one turns up or its component is exhausted,
+        so a selective predicate cannot strand it at the seeds.
+        """
+        n = graph.n
+        mask_rows = self.rows[lanes]
+        failing = self.exclude[mask_rows[owners], ids]
+        if not failing.any():
+            return ids, owners
+        front_ids, front_owners = ids[failing], owners[failing]
+        passing = ~failing
+        ids, owners = ids[passing], owners[passing]
+        if widen:
+            # lanes that already hold a node to score
+            served = np.zeros(lanes.size, dtype=bool)
+            served[owners] = True
+        reached = []
+        depth = 0
+        while front_ids.size and (depth < self.expansion or widen):
+            if depth >= self.expansion:
+                stranded = ~served[front_owners]
+                front_ids, front_owners = front_ids[stranded], front_owners[stranded]
+            depth += 1
+            nbrs, lens = _gather_frontier(graph, front_ids)
+            nbr_owners = np.repeat(front_owners, lens)
+            unseen = ~visited[lanes[nbr_owners], nbrs]
+            # ascending (owner, id): each lane's layer is sorted-unique
+            keys = np.unique(nbr_owners[unseen] * n + nbrs[unseen])
+            key_owners, key_ids = np.divmod(keys, n)
+            visited[lanes[key_owners], key_ids] = True
+            failing = self.exclude[mask_rows[key_owners], key_ids]
+            front_ids, front_owners = key_ids[failing], key_owners[failing]
+            if not failing.all():
+                passing = ~failing
+                reached.append(keys[passing])
+                if widen:
+                    served[key_owners[passing]] = True
+        if not reached:
+            return ids, owners
+        reached = np.concatenate(reached)
+        # lanes that reached something score sorted-unique(admitted ∪ reached)
+        merged = np.zeros(lanes.size, dtype=bool)
+        merged[reached // n] = True
+        resort = merged[owners]
+        keys = np.unique(
+            np.concatenate([owners[resort] * n + ids[resort], reached])
+        )
+        key_owners, key_ids = np.divmod(keys, n)
+        if resort.all():
+            return key_ids, key_owners
+        # the other lanes keep the given order; a stable sort by owner
+        # interleaves the two groups without reordering inside a lane
+        ids = np.concatenate([ids[~resort], key_ids])
+        owners = np.concatenate([owners[~resort], key_owners])
+        order = np.argsort(owners, kind="stable")
+        return ids[order], owners[order]
+
+
 def _search_chunk(
     graph,
     computer: DistanceComputer,
@@ -380,6 +483,7 @@ def _search_chunk(
     beam_width: int,
     backend: str,
     exclude_masks: list | None = None,
+    policy: AcornExpansion | None = None,
 ) -> list[SearchResult]:
     """Run one lockstep chunk; lane ``j`` answers ``score_segments``'s query ``j``.
 
@@ -389,6 +493,13 @@ def _search_chunk(
     the ``k`` truncation and padded to exactly ``k`` slots, mirroring
     :func:`~repro.core.beam_search.masked_top_k` bit-for-bit, so
     traversal, hops, and distance accounting are mask-invariant.
+
+    ``policy`` filters *during* traversal instead: each gathered frontier
+    (the seeds, then every hop's unvisited neighbors) goes through
+    :meth:`AcornExpansion.admit` before it is scored, and answers are
+    padded to ``k`` slots.  Seeds must arrive sorted-unique
+    (:func:`~repro.core.beam_search.prepare_seeds`).  ``None`` is plain
+    Algorithm 1.
     """
     n_lanes = len(seeds_per_lane)
     beam_d = np.full((n_lanes, beam_width), np.inf)
@@ -405,13 +516,18 @@ def _search_chunk(
     # ---- seed phase: one batched distance call over every lane's seeds ----
     seed_lens = np.asarray([s.size for s in seeds_per_lane], dtype=np.int64)
     flat_seeds = np.concatenate(seeds_per_lane)
-    seg_stops = np.cumsum(seed_lens)
-    seg_starts = seg_stops - seed_lens
     lanes_all = np.arange(n_lanes, dtype=np.int64)
-    seed_dists = score_segments(flat_seeds, seg_starts, seg_stops, lanes_all)
-    calls += seed_lens
     seed_rows = np.repeat(lanes_all, seed_lens)
     visited[seed_rows, flat_seeds] = True
+    if policy is not None:
+        flat_seeds, seed_rows = policy.admit(
+            graph, visited, lanes_all, flat_seeds, seed_rows, widen=True
+        )
+        seed_lens = np.bincount(seed_rows, minlength=n_lanes)
+    seg_stops = np.cumsum(seed_lens)
+    seg_starts = seg_stops - seed_lens
+    seed_dists = score_segments(flat_seeds, seg_starts, seg_stops, lanes_all)
+    calls += seed_lens
     _merge_batch(
         beam_d, beam_i, beam_e, sizes, lanes_all, seed_dists, flat_seeds,
         seg_starts, seg_stops, beam_width, backend, ws, rows_rep=seed_rows,
@@ -442,6 +558,12 @@ def _search_chunk(
                 fresh_lanes = owner_lanes[fresh_mask]
                 fresh_rows = owner_local[fresh_mask]
                 visited[fresh_lanes, fresh] = True
+                if policy is not None:
+                    fresh, fresh_rows = policy.admit(
+                        graph, visited, active, fresh, fresh_rows
+                    )
+                    if not fresh.size:
+                        continue
                 counts = np.bincount(fresh_rows, minlength=active.size)
                 seg_stops = np.cumsum(counts)
                 seg_starts = seg_stops - counts
@@ -460,6 +582,8 @@ def _search_chunk(
         if mask is None:
             ids = beam_i[lane, :min(k, size)].copy()
             dists = beam_d[lane, :min(k, size)].copy()
+            if policy is not None:
+                ids, dists = pad_top_k(ids, dists, k)
         else:
             keep = ~mask[beam_i[lane, :size]]
             ids, dists = pad_top_k(
@@ -489,6 +613,7 @@ def batch_search(
     backend: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     exclude_mask=None,
+    acorn: AcornExpansion | None = None,
 ) -> list[SearchResult]:
     """Answer a batch of external queries with the multi-query beam kernel.
 
@@ -503,6 +628,11 @@ def batch_search(
     :func:`~repro.core.beam_search.normalize_exclude_masks`).  Flagged
     nodes are traversed, never returned (see :func:`beam_search`);
     traversal accounting is mask-invariant.
+
+    ``acorn`` filters during traversal instead (see
+    :class:`AcornExpansion`): the batch then answers bit-identically to
+    per-query :func:`~repro.core.filtered.acorn_beam_search` calls, which
+    is what ``backend="scalar"`` runs.
     """
     backend = resolve_backend(backend)
     if beam_width < k:
@@ -517,6 +647,26 @@ def batch_search(
             f"vs {len(seeds_list)} seed lists"
         )
     masks = normalize_exclude_masks(exclude_mask, len(seeds_list), graph.n)
+    if acorn is not None:
+        if masks is not None:
+            raise ValueError("exclude_mask and acorn are alternative filters")
+        if acorn.rows.shape != (len(seeds_list),):
+            raise ValueError(
+                f"acorn policy covers {acorn.rows.size} queries, "
+                f"the batch holds {len(seeds_list)}"
+            )
+        if backend == "scalar":
+            from .filtered import acorn_beam_search
+
+            scratch = np.zeros(graph.n, dtype=bool)
+            return [
+                acorn_beam_search(
+                    graph, computer, query, seeds, k, beam_width,
+                    allow_mask=~acorn.exclude[row], expansion=acorn.expansion,
+                    visited_mask=scratch,
+                )
+                for query, seeds, row in zip(queries, seeds_list, acorn.rows)
+            ]
     if backend == "scalar":
         scratch = np.zeros(graph.n, dtype=bool)
         return [
@@ -546,6 +696,7 @@ def batch_search(
                 graph, computer, seeds_list[start:stop], score, k, beam_width,
                 backend,
                 exclude_masks=None if masks is None else masks[start:stop],
+                policy=None if acorn is None else acorn.chunk(start, stop),
             )
         )
     return results

@@ -39,6 +39,7 @@ schedule are therefore bit-identical at every ``n_workers`` and every
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
 
@@ -372,7 +373,9 @@ class StreamingIndex(BaseGraphIndex):
 
         Two schedules that produce bit-identical graph state produce equal
         fingerprints — the determinism-contract witness used by tests and
-        ``bench_streaming``.
+        ``bench_streaming``.  A SHA-1 prefix, not ``hash()``: Python salts
+        byte hashes per process, and the witness has to compare across
+        processes and runs.
         """
         self._require_streaming()
         degrees = self.graph.degrees()
@@ -381,9 +384,10 @@ class StreamingIndex(BaseGraphIndex):
             if int(degrees.sum())
             else np.empty(0, dtype=np.int64)
         )
-        return hash(
-            (flat.tobytes(), degrees.tobytes(), self._tombstone.tobytes())
-        )
+        digest = hashlib.sha1()
+        for part in (flat, degrees, self._tombstone):
+            digest.update(part.tobytes())
+        return int.from_bytes(digest.digest()[:8], "big")
 
     # ------------------------------------------------------------------
     # delete / insert / consolidate

@@ -16,12 +16,15 @@ The load-bearing contracts:
 import numpy as np
 import pytest
 
+from repro.core.distances import DistanceComputer
 from repro.core.filtered import (
     FILTER_STRATEGIES,
     FilteredIndex,
     acorn_beam_search,
     rwalks_augment,
 )
+from repro.core.graph import Graph
+from repro.core.kernels import AcornExpansion, batch_search
 from repro.datasets.attributes import point_attributes, query_predicates
 from repro.datasets.synthetic import generate
 from repro.eval.metrics import filtered_ground_truth, recall
@@ -85,22 +88,62 @@ def test_inline_traversal_is_predicate_invariant(world):
 
 
 @pytest.mark.parametrize("strategy", FILTER_STRATEGIES)
-def test_bit_identical_across_kernels_and_workers(world, strategy):
+def test_bit_identical_across_kernels_and_workers(world, strategy, monkeypatch):
     data, queries, attrs, inner = world
     fi, _, _ = _filtered(world, 0.25, strategy)
+    # count the lockstep kernel's one distance call per step, so the test
+    # cannot pass by the "python" side quietly running the scalar loop too
+    segmented_calls = []
+    segmented = DistanceComputer.to_queries_segmented
+
+    def counting(self, *args, **kwargs):
+        segmented_calls.append(1)
+        return segmented(self, *args, **kwargs)
+
+    monkeypatch.setattr(DistanceComputer, "to_queries_segmented", counting)
+    base = run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=1, kernel="python")
+    steps = len(segmented_calls)
+    # every lane pops once per step: seed call + one call per lockstep step
+    assert 1 < steps <= 1 + max(o.hops for o in base.outcomes)
+    scalar = run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=1, kernel="scalar")
+    assert len(segmented_calls) == steps, "the scalar run entered the kernel"
     runs = [
-        run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=1, kernel="python"),
-        run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=1, kernel="scalar"),
+        scalar,
         run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=2, kernel="python"),
         run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=2, kernel="scalar"),
     ]
-    base = runs[0]
-    for other in runs[1:]:
+    for other in runs:
         for a, b in zip(base.outcomes, other.outcomes):
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.dists, b.dists)
             assert a.distance_calls == b.distance_calls
             assert a.hops == b.hops
+
+
+def test_acorn_widens_past_failing_seeds():
+    """Regression: a passing node more than ``expansion`` hops behind a
+    failing seed was never reached — the widening loop restarted from the
+    seeds, whose neighbors were already visited, and gave up at once."""
+    n = 8
+    path = Graph(n)
+    for node in range(n):
+        path.set_neighbors(node, [v for v in (node - 1, node + 1) if 0 <= v < n])
+    data = np.arange(n, dtype=np.float32)[:, None] * np.ones((1, 2), np.float32)
+    computer = DistanceComputer(data)
+    for targets in ([3], [4], [6], []):
+        allow = np.zeros(n, dtype=bool)
+        allow[targets] = True
+        scalar = acorn_beam_search(
+            path, computer, data[0], [0], 1, 4, allow, expansion=2
+        )
+        (kernel,) = batch_search(
+            path, computer, data[:1], [[0]], k=1, beam_width=4, backend="python",
+            acorn=AcornExpansion(~allow[None, :], [0], expansion=2),
+        )
+        for result in (scalar, kernel):
+            assert result.ids.tolist() == (targets or [-1])
+            assert result.hops == len(targets)
+            assert result.distance_calls == len(targets)
 
 
 def test_inline_recall_near_exact_at_permissive_specificity(world):

@@ -20,8 +20,10 @@ from repro.core.beam_search import batch_point_beam_search, beam_search
 from repro.core.distances import DistanceComputer
 from repro.core.graph import CSRGraph, Graph
 from repro.core.heap import NeighborQueue
+from repro.core.filtered import acorn_beam_search
 from repro.core.kernels import (
     DEFAULT_CHUNK_SIZE,
+    AcornExpansion,
     KERNEL_BACKENDS,
     _merge_row,
     batch_point_search,
@@ -328,3 +330,94 @@ def test_batch_point_search_exclude_mask_matches_scalar(small_graph):
         assert np.array_equal(got.ids, ref.ids)
         assert np.array_equal(got.dists, ref.dists)
         assert not exclude[got.ids].any()
+
+
+# ----------------------------------------------------------------------
+# ACORN policy: lockstep expansion bit-identical to acorn_beam_search
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    expansion=st.sampled_from([1, 2, 3]),
+    chunk_size=st.sampled_from([1, 3, 256]),
+    as_csr=st.booleans(),
+)
+def test_acorn_policy_matches_scalar_property(seed, expansion, chunk_size, as_csr):
+    """Per query: same ids, distances, hops and distance calls as the
+    scalar ACORN loop, on graphs with duplicate adjacency entries and
+    isolated nodes, duplicate vectors (tie replay), all-failing seeds,
+    and all-fail / all-pass masks next to random ones."""
+    n, d = 120, 4
+    rng = np.random.default_rng(seed ^ 0xAC0)
+    # ~4 copies of every vector and repeated adjacency entries: segment
+    # order and dedup only show in the answers through ties and duplicates
+    data = rng.standard_normal((n // 4, d)).astype(np.float32)[
+        rng.integers(0, n // 4, size=n)
+    ]
+    adj = []
+    for _ in range(n):
+        nbrs = rng.integers(0, n, size=int(rng.integers(0, 9)))
+        adj.append(np.concatenate([nbrs, nbrs[: rng.integers(0, 3)]]))
+    if as_csr:
+        # a raw CSR keeps the repeats (and self-loops) Graph would drop
+        graph = CSRGraph(
+            np.concatenate([[0], np.cumsum([a.size for a in adj])]),
+            np.concatenate(adj),
+        )
+    else:
+        graph = Graph(n)
+        for i, nbrs in enumerate(adj):
+            graph.set_neighbors(i, nbrs)
+    n_q = int(rng.integers(2, 12))
+    queries = rng.standard_normal((n_q, d)).astype(np.float32)
+    for j in range(0, n_q, 3):
+        queries[j] = data[int(rng.integers(0, n))]
+    # one exclude row per query: random specificity, then the two extremes
+    exclude = rng.random((n_q, n)) >= rng.uniform(0.05, 0.6, size=(n_q, 1))
+    exclude[0] = True
+    exclude[1] = False
+    seeds = [rng.integers(0, n, size=int(rng.integers(1, 4))) for _ in range(n_q)]
+    # a query whose seeds all fail, and one seeded at a node with no out-edges
+    exclude[-1, seeds[-1]] = True
+    isolated = np.flatnonzero(graph.degrees() == 0)
+    if isolated.size:
+        seeds[-2 % n_q] = isolated[:1]
+    k = int(rng.integers(1, 6))
+    width = k + int(rng.integers(0, 10))
+    rows = rng.permutation(n_q)  # lane j filters by row rows[j], not row j
+
+    scratch = np.zeros(n, dtype=bool)
+    computer = DistanceComputer(data)
+    ref = [
+        acorn_beam_search(
+            graph, computer, queries[j], seeds[j], k, width,
+            allow_mask=~exclude[rows[j]], expansion=expansion,
+            visited_mask=scratch,
+        )
+        for j in range(n_q)
+    ]
+    policy = AcornExpansion(exclude, rows, expansion)
+    for backend in BACKENDS + ["scalar"]:
+        got = batch_search(
+            graph, DistanceComputer(data), queries, seeds, k=k,
+            beam_width=width, backend=backend, chunk_size=chunk_size,
+            acorn=policy,
+        )
+        _assert_identical(ref, got)
+        for result in got:
+            assert result.ids.shape == (k,)
+
+
+def test_acorn_policy_validation(small_graph):
+    computer, graph = small_graph
+    queries = np.zeros((2, computer.dim), dtype=np.float32)
+    exclude = np.zeros((2, graph.n), dtype=bool)
+    with pytest.raises(ValueError, match="expansion"):
+        AcornExpansion(exclude, [0, 1], expansion=0)
+    with pytest.raises(ValueError, match="covers 1 queries"):
+        batch_search(graph, computer, queries, [[0], [1]], k=1, beam_width=4,
+                     backend="python", acorn=AcornExpansion(exclude, [0]))
+    with pytest.raises(ValueError, match="alternative"):
+        batch_search(graph, computer, queries, [[0], [1]], k=1, beam_width=4,
+                     backend="python", exclude_mask=exclude[0],
+                     acorn=AcornExpansion(exclude, [0, 1]))

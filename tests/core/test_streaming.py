@@ -207,6 +207,34 @@ def test_schedule_bit_identical_across_workers_and_kernels():
     assert len(set(states)) == 1, f"divergent replay states: {states}"
 
 
+def test_graph_fingerprint_stable_across_processes():
+    """The witness must compare between processes: it used to be Python's
+    ``hash()`` of bytes, which is salted per process (PR 5 discipline)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    script = (
+        "import numpy as np;"
+        "from repro.core.streaming import StreamingIndex;"
+        "data = np.random.default_rng(3).standard_normal((80, 6)).astype(np.float32);"
+        "index = StreamingIndex(max_degree=6, build_beam_width=16, seed=1).build(data);"
+        "index.delete([2, 5]);"
+        "print(index.graph_fingerprint())"
+    )
+    outputs = set()
+    for hash_seed in ("0", "1", "42"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.add(proc.stdout.strip())
+    assert len(outputs) == 1, f"fingerprint varies with PYTHONHASHSEED: {outputs}"
+
+
 def test_version_bumps_on_every_mutation():
     gen = np.random.default_rng(14)
     data = gen.standard_normal((60, 5)).astype(np.float32)

@@ -82,6 +82,25 @@ def test_parser_accepts_workers():
     assert args.stats is True
 
 
+@pytest.mark.parametrize("command", ["demo", "serve"])
+def test_workers_below_one_rejected_at_parse_time(command, capsys):
+    """``--workers 0`` used to build the whole index and then die with a
+    traceback; argparse now refuses it before any work starts."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--workers", "0"])
+    assert exc.value.code == 2
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["demo", "serve"])
+def test_option_prefixes_rejected(command, capsys):
+    """``--worker 2`` used to match ``--workers`` by prefix, silently."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--worker", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --worker" in capsys.readouterr().err
+
+
 def test_demo_disk_tier(capsys):
     code = main(
         ["demo", "--method", "Vamana", "--n", "300", "--queries", "4",
