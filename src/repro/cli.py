@@ -67,26 +67,16 @@ def _cmd_datasets(args) -> int:
     return 0
 
 
-def _ctor_accepts(method: str, param: str) -> bool:
-    """Whether a method's constructor accepts the named parameter."""
+def _supports_build_workers(method: str) -> bool:
+    """Whether a method's constructor accepts ``n_workers`` (II-based builds)."""
     import inspect
 
     from .indexes import METHOD_REGISTRY
 
     try:
-        return param in inspect.signature(METHOD_REGISTRY[method]).parameters
+        return "n_workers" in inspect.signature(METHOD_REGISTRY[method]).parameters
     except (TypeError, ValueError):
         return False
-
-
-def _supports_build_workers(method: str) -> bool:
-    """Whether a method's constructor accepts ``n_workers`` (II-based builds)."""
-    return _ctor_accepts(method, "n_workers")
-
-
-def _supports_build_kernel(method: str) -> bool:
-    """Whether a method's build routes through the construction kernels."""
-    return _ctor_accepts(method, "kernel")
 
 
 def _cmd_demo(args) -> int:
@@ -94,6 +84,7 @@ def _cmd_demo(args) -> int:
     from .eval.metrics import ground_truth
     from .eval.runner import run_workload
     from .indexes import create_index
+    from .indexes.base import BaseGraphIndex
 
     data = generate(args.dataset, args.n, seed=args.seed)
     queries = generate(args.dataset, args.queries, seed=args.seed + 1)
@@ -122,12 +113,13 @@ def _cmd_demo(args) -> int:
                 f"note: {args.method} has no parallel builder; "
                 "constructing sequentially"
             )
+    index = create_index(args.method, **index_params)
     # --kernel selects the construction-kernel backend for the build too
     # (bit-identical graphs by contract); methods without batched
     # construction ignore it and build on the reference path
-    if args.kernel is not None and _supports_build_kernel(args.method):
-        index_params["kernel"] = args.kernel
-    index = create_index(args.method, **index_params).build(data)
+    if args.kernel is not None and isinstance(index, BaseGraphIndex):
+        index.kernel = args.kernel
+    index.build(data)
     print(
         f"built {index.name} on {args.dataset} (n={args.n}): "
         f"{index.build_report.wall_time_s:.1f}s, "

@@ -381,6 +381,7 @@ def batch_point_beam_search(
     beam_width: int,
     visited_mask: np.ndarray | None = None,
     exclude_mask: np.ndarray | None = None,
+    collect_visited: bool = False,
 ) -> list[SearchResult]:
     """Beam searches for a chunk of *dataset points*, sharing scratch state.
 
@@ -397,8 +398,8 @@ def batch_point_beam_search(
     which is what lets the parallel builder mix in-process and worker-side
     execution freely.
 
-    Returns one :class:`SearchResult` per point (``visited`` lists are not
-    collected; builders that need them use :func:`beam_search`).
+    Returns one :class:`SearchResult` per point; ``collect_visited`` adds
+    the ``visited`` / ``visited_dists`` lists :func:`beam_search` reports.
 
     ``exclude_mask`` carries the streaming tier's tombstones (one shared
     mask) or the filtered tier's per-point predicates (a sequence of
@@ -422,6 +423,7 @@ def batch_point_beam_search(
         queue = NeighborQueue(beam_width)
         seed_dists = computer.one_to_many(point, seeds)
         visited_mask[seeds] = True
+        visit_order, visit_dists = [seeds], [seed_dists]
         for dist, node in zip(seed_dists.tolist(), seeds.tolist()):
             queue.insert(dist, node)
         hops = 0
@@ -436,6 +438,9 @@ def batch_point_beam_search(
                 if fresh.size:
                     visited_mask[fresh] = True
                     dists = computer.one_to_many(point, fresh)
+                    if collect_visited:
+                        visit_order.append(fresh)
+                        visit_dists.append(dists)
                     bound = queue.worst_dist()
                     for dist, nbr in zip(dists.tolist(), fresh.tolist()):
                         if dist < bound:
@@ -443,14 +448,16 @@ def batch_point_beam_search(
         ids, dists = masked_top_k(
             queue, k, None if masks is None else masks[pt_idx]
         )
-        results.append(
-            SearchResult(
-                ids=ids,
-                dists=dists,
-                distance_calls=computer.since(mark),
-                hops=hops,
-            )
+        result = SearchResult(
+            ids=ids,
+            dists=dists,
+            distance_calls=computer.since(mark),
+            hops=hops,
         )
+        if collect_visited:
+            result.visited = np.concatenate(visit_order)
+            result.visited_dists = np.concatenate(visit_dists)
+        results.append(result)
     return results
 
 

@@ -24,11 +24,15 @@ segment is evaluated by the same GEMV expression as the scalar path — GEMM
 column blocking rounds differently and is deliberately avoided), and keeps
 the same beam content, so answer ids, distances, hop counts, and per-query
 distance-call totals are **bit-identical to the scalar reference path** at
-any batch size, chunk size, worker count, and backend.  The vectorized merge
-is exact whenever the merged distances are tie-free; rows containing ties
-(duplicate vectors, duplicate adjacency entries) are replayed through
-:func:`_merge_row`, a faithful transliteration of ``NeighborQueue``'s offer
-semantics.
+any batch size, chunk size, worker count, and backend.  On request
+(``collect_visited``) that extends to each query's visited list — every
+scored id and its distance, in the scalar loop's evaluation order — which
+is what lets the refinement builders (:mod:`repro.core.refine`) take their
+candidate pools from one batch instead of one ``beam_search`` per node.
+The vectorized merge is exact whenever the merged distances are tie-free;
+rows containing ties (duplicate vectors, duplicate adjacency entries) are
+replayed through :func:`_merge_row`, a faithful transliteration of
+``NeighborQueue``'s offer semantics.
 
 Backends (runtime-selected via ``REPRO_KERNEL`` or per call):
 
@@ -484,6 +488,7 @@ def _search_chunk(
     backend: str,
     exclude_masks: list | None = None,
     policy: AcornExpansion | None = None,
+    collect_visited: bool = False,
 ) -> list[SearchResult]:
     """Run one lockstep chunk; lane ``j`` answers ``score_segments``'s query ``j``.
 
@@ -500,6 +505,13 @@ def _search_chunk(
     padded to ``k`` slots.  Seeds must arrive sorted-unique
     (:func:`~repro.core.beam_search.prepare_seeds`).  ``None`` is plain
     Algorithm 1.
+
+    ``collect_visited`` fills each result's ``visited`` / ``visited_dists``
+    with every id the lane scored, in the scalar loop's evaluation order:
+    the seed segment, then each hop's scored segment as it was scored.
+    Every step logs its ``(lane, id, dist)`` triples and one stable sort on
+    lane splits the log at the end, so steps stay in time order inside a
+    lane.  Off, it costs one branch per step.
     """
     n_lanes = len(seeds_per_lane)
     beam_d = np.full((n_lanes, beam_width), np.inf)
@@ -528,6 +540,7 @@ def _search_chunk(
     seg_starts = seg_stops - seed_lens
     seed_dists = score_segments(flat_seeds, seg_starts, seg_stops, lanes_all)
     calls += seed_lens
+    log = [(seed_rows, flat_seeds, seed_dists)] if collect_visited else None
     _merge_batch(
         beam_d, beam_i, beam_e, sizes, lanes_all, seed_dists, flat_seeds,
         seg_starts, seg_stops, beam_width, backend, ws, rows_rep=seed_rows,
@@ -569,12 +582,20 @@ def _search_chunk(
                 seg_starts = seg_stops - counts
                 dists = score_segments(fresh, seg_starts, seg_stops, active)
                 calls[active] += counts
+                if log is not None:
+                    log.append((active[fresh_rows], fresh, dists))
                 _merge_batch(
                     beam_d, beam_i, beam_e, sizes, active, dists, fresh,
                     seg_starts, seg_stops, beam_width, backend, ws,
                     rows_rep=fresh_rows,
                 )
 
+    if log is not None:
+        log_lanes, log_ids, log_dists = (np.concatenate(col) for col in zip(*log))
+        order = np.argsort(log_lanes, kind="stable")
+        bounds = np.cumsum(np.bincount(log_lanes, minlength=n_lanes))[:-1]
+        visited_ids = np.split(log_ids[order], bounds)
+        visited_dists = np.split(log_dists[order], bounds)
     results = []
     for lane in range(n_lanes):
         size = int(sizes[lane])
@@ -589,14 +610,16 @@ def _search_chunk(
             ids, dists = pad_top_k(
                 beam_i[lane, :size][keep], beam_d[lane, :size][keep], k
             )
-        results.append(
-            SearchResult(
-                ids=ids,
-                dists=dists,
-                distance_calls=int(calls[lane]),
-                hops=int(hops[lane]),
-            )
+        result = SearchResult(
+            ids=ids,
+            dists=dists,
+            distance_calls=int(calls[lane]),
+            hops=int(hops[lane]),
         )
+        if log is not None:
+            result.visited = visited_ids[lane]
+            result.visited_dists = visited_dists[lane]
+        results.append(result)
     return results
 
 
@@ -614,14 +637,18 @@ def batch_search(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     exclude_mask=None,
     acorn: AcornExpansion | None = None,
+    collect_visited: bool = False,
 ) -> list[SearchResult]:
     """Answer a batch of external queries with the multi-query beam kernel.
 
     Per-query answers, distances, hop counts, and distance-call totals are
     bit-identical to per-query :func:`beam_search` calls with the same
     seeds, at any ``chunk_size`` and backend.  ``backend="scalar"`` runs the
-    reference path itself.  ``visited``/``visited_dists`` are not collected
-    (builders that consume them use :func:`beam_search` directly).
+    reference path itself.  ``collect_visited`` also returns each query's
+    ``visited`` / ``visited_dists`` — every scored id in evaluation order,
+    element for element what :func:`beam_search` reports — which is what
+    the refinement builders (:mod:`repro.core.refine`) prune; plain queries
+    leave it off.
     ``exclude_mask`` flags nodes to filter from the answers — one shared
     mask (the streaming tier's tombstones) or a per-query sequence (the
     filtered tier's predicates; see
@@ -650,6 +677,8 @@ def batch_search(
     if acorn is not None:
         if masks is not None:
             raise ValueError("exclude_mask and acorn are alternative filters")
+        if collect_visited:
+            raise ValueError("collect_visited is not available under an acorn policy")
         if acorn.rows.shape != (len(seeds_list),):
             raise ValueError(
                 f"acorn policy covers {acorn.rows.size} queries, "
@@ -697,6 +726,7 @@ def batch_search(
                 backend,
                 exclude_masks=None if masks is None else masks[start:stop],
                 policy=None if acorn is None else acorn.chunk(start, stop),
+                collect_visited=collect_visited,
             )
         )
     return results
@@ -796,12 +826,14 @@ def batch_point_search(
     backend: str | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     exclude_mask=None,
+    collect_visited: bool = False,
 ) -> list[SearchResult]:
     """Kernel variant of :func:`batch_point_beam_search` (queries are dataset
     points given by id; cached squared norms cover both sides).
 
     Bit-identical to :func:`batch_point_beam_search` per point at any chunk
-    size and backend.  ``exclude_mask`` flags nodes to filter from the
+    size and backend, ``visited`` lists included when ``collect_visited``
+    asks for them.  ``exclude_mask`` flags nodes to filter from the
     answers (one shared mask or a per-point sequence): traversed, never
     returned; traversal accounting is mask-invariant.
     """
@@ -809,7 +841,7 @@ def batch_point_search(
     if backend == "scalar":
         return batch_point_beam_search(
             graph, computer, points, seeds_per_point, k, beam_width,
-            exclude_mask=exclude_mask,
+            exclude_mask=exclude_mask, collect_visited=collect_visited,
         )
     if beam_width < k:
         raise ValueError(f"beam_width ({beam_width}) must be >= k ({k})")
@@ -838,6 +870,7 @@ def batch_point_search(
                 graph, computer, seeds_list[start:stop], score, k, beam_width,
                 backend,
                 exclude_masks=None if masks is None else masks[start:stop],
+                collect_visited=collect_visited,
             )
         )
     return results

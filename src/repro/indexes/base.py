@@ -165,6 +165,11 @@ class BaseGraphIndex(BaseIndex):
     #: IEH, ELPIS, LSHAPG) must stay in RAM mode.
     disk_tier_capable: bool = False
 
+    #: Construction-kernel backend request (``None`` = ``$REPRO_KERNEL``).
+    #: Builders that take ``kernel=`` set it in their constructor; the CLI's
+    #: ``--kernel`` sets it on any graph index before :meth:`build`.
+    kernel: str | None = None
+
     def __init__(self, seed: int = 0, default_beam_width: int = 64):
         super().__init__(seed)
         if default_beam_width < 1:
@@ -179,6 +184,15 @@ class BaseGraphIndex(BaseIndex):
         # (pickled, so worker processes can re-open the mmap themselves)
         self._disk_tier = None
         self._disk_tier_dir: str | None = None
+
+    def build(self, data: np.ndarray) -> "BaseGraphIndex":
+        """Construct the index; the build backend is resolved here, once."""
+        from ..core.kernels import resolve_backend
+
+        #: what ``kernel`` resolved to for this build; every backend builds
+        #: the same graph with the same distance-call total
+        self.build_backend = resolve_backend(self.kernel)
+        return super().build(data)
 
     @abc.abstractmethod
     def _query_seeds(self, query: np.ndarray) -> np.ndarray:

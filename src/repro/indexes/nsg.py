@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.beam_search import beam_search
 from ..core.diversification import rnd
 from ..core.graph import Graph
+from ..core.kernels import DEFAULT_CHUNK_SIZE
+from ..core.refine import link_unreachable, refine_round, search_pools
 from ..core.seeds import find_medoid
 from .base import BaseGraphIndex
 from .efanna import EFANNAIndex
@@ -51,7 +52,8 @@ class NSGIndex(BaseGraphIndex):
         self.efanna_k = efanna_k
         self.efanna_trees = efanna_trees
         self.n_query_seeds = n_query_seeds
-        #: construction-kernel backend for the EFANNA base build
+        #: construction-kernel backend request, for the EFANNA base and the
+        #: refine stage alike (``None`` = ``$REPRO_KERNEL``)
         self.kernel = kernel
         self.medoid: int | None = None
         self._base_index: EFANNAIndex | None = None
@@ -65,7 +67,7 @@ class NSGIndex(BaseGraphIndex):
             k_neighbors=self.efanna_k,
             n_trees=self.efanna_trees,
             seed=self.seed,
-            kernel=self.kernel,
+            kernel=self.build_backend,
         )
         # share the computer so base-graph work is charged to this build
         base.computer = computer
@@ -75,33 +77,18 @@ class NSGIndex(BaseGraphIndex):
         self.peak_build_bytes = base.memory_bytes()
         self.medoid = find_medoid(computer)
 
+        # the base graph is fixed, so a round is one kernel chunk: its size
+        # bounds scratch memory and cannot change a search or a prune
         graph = Graph(computer.n)
-        visited_mask = np.zeros(computer.n, dtype=bool)
-        for node in range(computer.n):
-            result = beam_search(
-                base_graph,
-                computer,
-                computer.data[node],
-                [self.medoid],
-                k=self.build_beam_width,
-                beam_width=self.build_beam_width,
-                visited_mask=visited_mask,
+        for start in range(0, computer.n, DEFAULT_CHUNK_SIZE):
+            nodes = np.arange(start, min(start + DEFAULT_CHUNK_SIZE, computer.n))
+            pools = search_pools(
+                base_graph, computer, nodes, self.medoid,
+                self.build_beam_width, self.prune_pool_size, self.build_backend,
             )
-            extra = base_graph.neighbors(node)
-            extra_dists = computer.one_to_many(node, extra)
-            cand_ids = np.concatenate([result.visited, extra])
-            cand_dists = np.concatenate([result.visited_dists, extra_dists])
-            keep = cand_ids != node
-            cand_ids, cand_dists = cand_ids[keep], cand_dists[keep]
-            # cap the pruning pool to the closest candidates (rnd sorts and
-            # dedupes internally; the cap bounds per-node pruning cost)
-            if cand_ids.size > self.prune_pool_size:
-                top = np.argpartition(cand_dists, self.prune_pool_size)[
-                    : self.prune_pool_size
-                ]
-                cand_ids, cand_dists = cand_ids[top], cand_dists[top]
-            graph.set_neighbors(
-                node, rnd(computer, cand_ids, cand_dists, self.max_degree)
+            refine_round(
+                graph, computer, nodes, pools, self.max_degree, "rnd", None,
+                self.build_backend,
             )
         self._add_reverse_edges(graph)
         self._repair_connectivity(graph)
@@ -114,30 +101,19 @@ class NSGIndex(BaseGraphIndex):
             for nbr in graph.neighbors(node).tolist():
                 merged = np.concatenate([graph.neighbors(nbr), [node]])
                 if merged.size > self.max_degree:
-                    dists = computer.one_to_many(nbr, np.unique(merged))
-                    merged = rnd(computer, np.unique(merged), dists, self.max_degree)
+                    merged = np.unique(merged)
+                    dists = computer.one_to_many(nbr, merged)
+                    merged = rnd(computer, merged, dists, self.max_degree)
                 graph.set_neighbors(nbr, merged)
 
     def _repair_connectivity(self, graph: Graph) -> None:
         """NSG's DFS-tree repair: link unreachable nodes from their nearest
-        reachable neighbor (found by a beam search on the partial graph)."""
-        computer = self.computer
-        reachable = graph.reachable_from(self.medoid)
-        unreachable = np.flatnonzero(~reachable)
-        visited_mask = np.zeros(graph.n, dtype=bool)
-        for node in unreachable:
-            node = int(node)
-            result = beam_search(
-                graph,
-                computer,
-                computer.data[node],
-                [self.medoid],
-                k=1,
-                beam_width=max(8, self.max_degree),
-                visited_mask=visited_mask,
-            )
-            anchor = int(result.ids[0]) if result.ids.size else self.medoid
-            graph.add_edge(anchor, node)
+        reachable neighbor with a free slot (found by a beam search on the
+        partial graph)."""
+        link_unreachable(
+            graph, self.computer, graph.reachable_from(self.medoid),
+            self.medoid, self.max_degree,
+        )
 
     def _query_seeds(self, query: np.ndarray) -> np.ndarray:
         n = self.computer.n

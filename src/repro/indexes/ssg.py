@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.beam_search import beam_search
 from ..core.diversification import get_diversifier
 from ..core.graph import Graph
+from ..core.kernels import DEFAULT_CHUNK_SIZE
+from ..core.refine import link_unreachable, point_distances, refine_round
 from .base import BaseGraphIndex
 from .efanna import EFANNAIndex
 
@@ -47,8 +48,11 @@ class SSGIndex(BaseGraphIndex):
         self.efanna_trees = efanna_trees
         self.n_repair_roots = n_repair_roots
         self.n_query_seeds = n_query_seeds
-        #: construction-kernel backend for the EFANNA base build
+        #: construction-kernel backend request, for the EFANNA base and the
+        #: refine stage alike (``None`` = ``$REPRO_KERNEL``)
         self.kernel = kernel
+        #: roots of the repair DFS trees (set by the build)
+        self.repair_roots: np.ndarray | None = None
         self.peak_build_bytes = 0
 
     def _build(self, rng: np.random.Generator) -> None:
@@ -57,7 +61,7 @@ class SSGIndex(BaseGraphIndex):
             k_neighbors=self.efanna_k,
             n_trees=self.efanna_trees,
             seed=self.seed,
-            kernel=self.kernel,
+            kernel=self.build_backend,
         )
         base.computer = computer
         base._build(rng)
@@ -65,27 +69,32 @@ class SSGIndex(BaseGraphIndex):
         self.peak_build_bytes = base.memory_bytes()
         diversifier = get_diversifier("mond", theta_degrees=self.theta_degrees)
 
+        # the base graph is fixed, so a round is one kernel chunk: its size
+        # bounds scratch memory and cannot change a pool or a prune
         graph = Graph(computer.n)
-        for node in range(computer.n):
-            # local expansion: direct neighbors plus neighbors-of-neighbors
-            one_hop = base_graph.neighbors(node)
-            if one_hop.size:
-                two_hop = np.concatenate(
-                    [base_graph.neighbors(int(nbr)) for nbr in one_hop]
-                )
-                pool = np.unique(np.concatenate([one_hop, two_hop]))
-            else:
-                pool = one_hop
-            pool = pool[pool != node]
-            if pool.size == 0:
-                continue
-            dists = computer.one_to_many(node, pool)
-            graph.set_neighbors(
-                node, diversifier(computer, pool, dists, self.max_degree)
+        for start in range(0, computer.n, DEFAULT_CHUNK_SIZE):
+            nodes = np.arange(start, min(start + DEFAULT_CHUNK_SIZE, computer.n))
+            pools = [self._two_hop_pool(base_graph, int(node)) for node in nodes]
+            dists = point_distances(computer, nodes, pools, self.build_backend)
+            refine_round(
+                graph, computer, nodes, list(zip(pools, dists)), self.max_degree,
+                "mond", {"theta_degrees": self.theta_degrees}, self.build_backend,
             )
         self._add_reverse_edges(graph, diversifier)
         self._repair_connectivity(graph, rng)
         self.graph = graph
+
+    @staticmethod
+    def _two_hop_pool(base_graph: Graph, node: int) -> np.ndarray:
+        """Local expansion: direct neighbors plus neighbors-of-neighbors."""
+        one_hop = base_graph.neighbors(node)
+        if not one_hop.size:
+            return one_hop
+        two_hop = np.concatenate(
+            [base_graph.neighbors(int(nbr)) for nbr in one_hop]
+        )
+        pool = np.unique(np.concatenate([one_hop, two_hop]))
+        return pool[pool != node]
 
     def _add_reverse_edges(self, graph: Graph, diversifier) -> None:
         computer = self.computer
@@ -99,26 +108,15 @@ class SSGIndex(BaseGraphIndex):
 
     def _repair_connectivity(self, graph: Graph, rng: np.random.Generator) -> None:
         """DFS trees from several random roots; link stragglers to the graph."""
-        computer = self.computer
         n = graph.n
         roots = rng.choice(n, size=min(self.n_repair_roots, n), replace=False)
+        self.repair_roots = roots
         reachable = np.zeros(n, dtype=bool)
         for root in roots:
             reachable |= graph.reachable_from(int(root))
-        visited_mask = np.zeros(n, dtype=bool)
-        for node in np.flatnonzero(~reachable):
-            node = int(node)
-            result = beam_search(
-                graph,
-                computer,
-                computer.data[node],
-                [int(roots[0])],
-                k=1,
-                beam_width=max(8, self.max_degree),
-                visited_mask=visited_mask,
-            )
-            anchor = int(result.ids[0]) if result.ids.size else int(roots[0])
-            graph.add_edge(anchor, node)
+        link_unreachable(
+            graph, self.computer, reachable, int(roots[0]), self.max_degree
+        )
 
     def _query_seeds(self, query: np.ndarray) -> np.ndarray:
         n = self.computer.n

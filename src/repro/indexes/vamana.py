@@ -7,15 +7,22 @@ the medoid over the current graph; the visited list is pruned with RRND —
 typically 1.2-1.3) in the second, which relaxes pruning to add connectivity.
 Bi-directional edges are inserted, and any overflowing neighbor list is
 re-pruned with RND.  Queries start at the medoid plus random seeds (MD+KS).
+
+A pass walks its permutation in frozen rounds of ``REFINE_ROUND_SIZE``
+nodes (:mod:`repro.core.refine`): the round's searches all see the graph
+as the previous round left it, its pools are pruned in one batch, and its
+back-edges are merged per target in rank order.  That is ParlayANN's
+batched Vamana, not the DiskANN paper's strictly sequential pass — which
+is the same code at round size 1 — and the graph differs slightly from the
+sequential one (EXPERIMENTS.md, "construction kernels", has the table).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.beam_search import beam_search
-from ..core.diversification import rnd, rrnd
 from ..core.graph import Graph
+from ..core.refine import REFINE_ROUND_SIZE, refine_round, search_pools
 from ..core.seeds import find_medoid
 from .base import BaseGraphIndex
 
@@ -71,41 +78,18 @@ class VamanaIndex(BaseGraphIndex):
     def _refine_pass(
         self, graph: Graph, alpha: float, rng: np.random.Generator
     ) -> None:
-        computer = self.computer
-        visited_mask = np.zeros(graph.n, dtype=bool)
         order = rng.permutation(graph.n)
-        for node in order:
-            node = int(node)
-            result = beam_search(
-                graph,
-                computer,
-                computer.data[node],
-                [self.medoid],
-                k=self.build_beam_width,
-                beam_width=self.build_beam_width,
-                visited_mask=visited_mask,
+        for start in range(0, graph.n, REFINE_ROUND_SIZE):
+            nodes = order[start : start + REFINE_ROUND_SIZE]
+            pools = search_pools(
+                graph, self.computer, nodes, self.medoid,
+                self.build_beam_width, self.prune_pool_size, self.build_backend,
             )
-            extra = graph.neighbors(node)
-            extra_dists = computer.one_to_many(node, extra)
-            cand_ids = np.concatenate([result.visited, extra])
-            cand_dists = np.concatenate([result.visited_dists, extra_dists])
-            keep = cand_ids != node
-            cand_ids, cand_dists = cand_ids[keep], cand_dists[keep]
-            if cand_ids.size > self.prune_pool_size:
-                top = np.argpartition(cand_dists, self.prune_pool_size)[
-                    : self.prune_pool_size
-                ]
-                cand_ids, cand_dists = cand_ids[top], cand_dists[top]
-            kept = rrnd(computer, cand_ids, cand_dists, self.max_degree, alpha=alpha)
-            graph.set_neighbors(node, kept)
-            for nbr in kept:
-                nbr = int(nbr)
-                merged = np.concatenate([graph.neighbors(nbr), [node]])
-                if merged.size > self.max_degree:
-                    merged = np.unique(merged)
-                    dists = computer.one_to_many(nbr, merged)
-                    merged = rnd(computer, merged, dists, self.max_degree)
-                graph.set_neighbors(nbr, merged)
+            refine_round(
+                graph, self.computer, nodes, pools, self.max_degree,
+                "rrnd", {"alpha": alpha}, self.build_backend,
+                back_edge_strategy="rnd",
+            )
 
     def _query_seeds(self, query: np.ndarray) -> np.ndarray:
         n = self.computer.n

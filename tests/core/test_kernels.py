@@ -50,6 +50,29 @@ def _random_world(seed, n=400, d=8, duplicates=True):
     return data, graph
 
 
+def _tie_world(rng, n, d, as_csr):
+    """~4 copies of every vector and repeated adjacency entries: segment
+    order and dedup only show in the results through ties and duplicates."""
+    data = rng.standard_normal((n // 4, d)).astype(np.float32)[
+        rng.integers(0, n // 4, size=n)
+    ]
+    adj = []
+    for _ in range(n):
+        nbrs = rng.integers(0, n, size=int(rng.integers(0, 9)))
+        adj.append(np.concatenate([nbrs, nbrs[: rng.integers(0, 3)]]))
+    if as_csr:
+        # a raw CSR keeps the repeats (and self-loops) Graph would drop
+        graph = CSRGraph(
+            np.concatenate([[0], np.cumsum([a.size for a in adj])]),
+            np.concatenate(adj),
+        )
+    else:
+        graph = Graph(n)
+        for i, nbrs in enumerate(adj):
+            graph.set_neighbors(i, nbrs)
+    return data, graph
+
+
 def _reference(graph, computer, queries, seeds, k, width):
     scratch = np.zeros(graph.n, dtype=bool)
     return [
@@ -349,25 +372,7 @@ def test_acorn_policy_matches_scalar_property(seed, expansion, chunk_size, as_cs
     and all-fail / all-pass masks next to random ones."""
     n, d = 120, 4
     rng = np.random.default_rng(seed ^ 0xAC0)
-    # ~4 copies of every vector and repeated adjacency entries: segment
-    # order and dedup only show in the answers through ties and duplicates
-    data = rng.standard_normal((n // 4, d)).astype(np.float32)[
-        rng.integers(0, n // 4, size=n)
-    ]
-    adj = []
-    for _ in range(n):
-        nbrs = rng.integers(0, n, size=int(rng.integers(0, 9)))
-        adj.append(np.concatenate([nbrs, nbrs[: rng.integers(0, 3)]]))
-    if as_csr:
-        # a raw CSR keeps the repeats (and self-loops) Graph would drop
-        graph = CSRGraph(
-            np.concatenate([[0], np.cumsum([a.size for a in adj])]),
-            np.concatenate(adj),
-        )
-    else:
-        graph = Graph(n)
-        for i, nbrs in enumerate(adj):
-            graph.set_neighbors(i, nbrs)
+    data, graph = _tie_world(rng, n, d, as_csr)
     n_q = int(rng.integers(2, 12))
     queries = rng.standard_normal((n_q, d)).astype(np.float32)
     for j in range(0, n_q, 3):
@@ -406,6 +411,65 @@ def test_acorn_policy_matches_scalar_property(seed, expansion, chunk_size, as_cs
         _assert_identical(ref, got)
         for result in got:
             assert result.ids.shape == (k,)
+
+
+# ----------------------------------------------------------------------
+# visited lists: the kernel's step log equals the scalar evaluation order
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    chunk_size=st.sampled_from([1, 3, 256]),
+    as_csr=st.booleans(),
+)
+def test_collected_visited_matches_scalar_property(seed, chunk_size, as_csr):
+    """Per lane: ``visited`` / ``visited_dists`` equal ``beam_search``'s
+    element for element (order and bits), with duplicate adjacency
+    entries, duplicate vectors, isolated and multi-seed lanes; and
+    collecting changes nothing else a search returns."""
+    n, d = 120, 4
+    rng = np.random.default_rng(seed ^ 0x715)
+    data, graph = _tie_world(rng, n, d, as_csr)
+    n_q = int(rng.integers(2, 12))
+    queries = rng.standard_normal((n_q, d)).astype(np.float32)
+    queries[0] = data[int(rng.integers(0, n))]
+    seeds = [rng.integers(0, n, size=int(rng.integers(1, 5))) for _ in range(n_q)]
+    isolated = np.flatnonzero(graph.degrees() == 0)
+    if isolated.size:
+        seeds[-1] = isolated[:1]
+    k = int(rng.integers(1, 6))
+    width = k + int(rng.integers(0, 10))
+    points = rng.integers(0, n, size=n_q)
+
+    computer = DistanceComputer(data)
+    ref = _reference(graph, computer, queries, seeds, k, width)
+    ref_points = batch_point_beam_search(
+        graph, computer, points, seeds, k, width, collect_visited=True
+    )
+    for result in ref_points:
+        assert result.visited.size == result.distance_calls
+    for backend in BACKENDS + ["scalar"]:
+        for expected, search, subjects in (
+            (ref, batch_search, queries),
+            (ref_points, batch_point_search, points),
+        ):
+            kwargs = dict(k=k, beam_width=width, backend=backend, chunk_size=chunk_size)
+            got = search(graph, computer, subjects, seeds, collect_visited=True, **kwargs)
+            _assert_identical(expected, got)
+            for a, b in zip(expected, got):
+                assert a.visited.dtype == b.visited.dtype == np.int64
+                assert np.array_equal(a.visited, b.visited)
+                assert np.array_equal(a.visited_dists, b.visited_dists)
+            _assert_identical(got, search(graph, computer, subjects, seeds, **kwargs))
+
+
+def test_collect_visited_rejected_under_acorn(small_graph):
+    computer, graph = small_graph
+    queries = np.zeros((1, computer.dim), dtype=np.float32)
+    policy = AcornExpansion(np.zeros((1, graph.n), dtype=bool), [0])
+    with pytest.raises(ValueError, match="collect_visited"):
+        batch_search(graph, computer, queries, [[0]], k=1, beam_width=4,
+                     backend="python", acorn=policy, collect_visited=True)
 
 
 def test_acorn_policy_validation(small_graph):

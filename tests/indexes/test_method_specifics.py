@@ -48,6 +48,23 @@ def test_nsg_medoid_is_centroid_nearest(built_indexes, index_data):
     assert nsg.medoid == int(np.argmin(dists))
 
 
+@pytest.mark.parametrize("method", ["NSG", "SSG"])
+def test_connectivity_repair_respects_degree_cap(method):
+    """Repair used to append to the nearest node whether or not it had a
+    free slot: 61 (NSG) / 123 (SSG) nodes over the cap on this input."""
+    from repro.datasets.synthetic import generate
+
+    index = create_index(method, max_degree=8, seed=0).build(
+        generate("seismic", 1000, seed=3)
+    )
+    assert index.graph.degrees().max() <= 8
+    roots = [index.medoid] if method == "NSG" else index.repair_roots
+    reachable = np.zeros(index.graph.n, dtype=bool)
+    for root in roots:
+        reachable |= index.graph.reachable_from(int(root))
+    assert reachable.all()
+
+
 def test_vamana_alpha_validation():
     with pytest.raises(ValueError):
         VamanaIndex(alpha=0.9)

@@ -101,6 +101,36 @@ def test_option_prefixes_rejected(command, capsys):
     assert "unrecognized arguments: --worker" in capsys.readouterr().err
 
 
+def test_demo_kernel_reaches_the_vamana_build(capsys, monkeypatch):
+    """``--kernel`` selects the build backend of every graph method, not
+    only of those with a ``kernel=`` constructor parameter; the graph (so
+    the build's distance calls and every answer) is the same either way."""
+    from repro.indexes import vamana
+
+    backends = []
+
+    def spy(*args):
+        backends.append(args[-1])
+        return search_pools(*args)
+
+    search_pools = vamana.search_pools
+    monkeypatch.setattr(vamana, "search_pools", spy)
+    reports = {}
+    for kernel in ("python", "scalar"):
+        args = ["demo", "--method", "Vamana", "--n", "300", "--queries", "4",
+                "--kernel", kernel]
+        assert main(args) == 0
+        assert set(backends) == {kernel}
+        backends.clear()
+        built, _, answers = capsys.readouterr().out.partition("beam kernel:")
+        reports[kernel] = (
+            built.split("s, ", 1)[1],
+            answers.split("mean latency")[0].split("\n", 1)[1],
+        )
+    assert "distance calls" in reports["python"][0]
+    assert reports["python"] == reports["scalar"]
+
+
 def test_demo_disk_tier(capsys):
     code = main(
         ["demo", "--method", "Vamana", "--n", "300", "--queries", "4",
