@@ -8,8 +8,7 @@ irrelevant here — only query traversal work is measured), then one query
 batch is answered
 
 * single-worker, comparing the ``scalar`` per-query reference path against
-  the vectorized multi-query beam kernel (``python`` backend, plus the
-  resolved ``auto`` backend when it differs); and
+  the vectorized multi-query beam kernel (``python`` backend); and
 * at worker counts 1, 2, and 4 through the resolved default kernel.
 
 The engine's guarantees are asserted unconditionally: per-query answer ids,
@@ -70,8 +69,6 @@ def test_parallel_scaling():
 
     # ---- determinism contract: same answers on every axis ----------------
     kernels = ["scalar", "python"]
-    if resolve_backend(None) not in kernels:
-        kernels.append(resolve_backend(None))
     reference = run_batch(index, queries, k=10, beam_width=WIDTH,
                           kernel="scalar")
     for kernel in kernels[1:]:

@@ -340,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--kernel",
-        choices=["auto", "python", "numba", "scalar"],
+        choices=["python", "scalar"],
         default=None,
         help="kernel backend for queries AND, where supported, the index "
         "build (batched diversification + NN-descent; default: "
-        "$REPRO_KERNEL, else auto). All backends return bit-identical "
+        "$REPRO_KERNEL, else python). Both backends return bit-identical "
         "graphs, answers, and distance counts; 'scalar' is the per-query / "
         "per-node reference loop",
     )
@@ -414,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel",
-        choices=["auto", "python", "numba", "scalar"],
+        choices=["python", "scalar"],
         default=None,
-        help="beam-search backend (default: $REPRO_KERNEL, else auto)",
+        help="beam-search backend (default: $REPRO_KERNEL, else python)",
     )
     serve.add_argument(
         "--stats",

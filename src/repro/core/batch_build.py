@@ -13,8 +13,9 @@ construction.  This module breaks it the way ParlayANN does — with
   *frozen* graph over the preceding prefix, so the searches share no state
   and are embarrassingly parallel across a worker pool;
 * the round's edges — forward lists from each node's diversified candidates,
-  plus reverse edges with overflow re-pruning — are then merged in a single
-  sequential pass ordered by insertion rank.
+  plus reverse edges with overflow re-pruning — are then written by ONE
+  :func:`~repro.core.refine.insert_round`, in insertion-rank order (the
+  sequential builder runs the same round with one node).
 
 Three mechanisms make the result **bit-identical at any worker count**
 (including ``n_workers=1``, which runs the same round loop in-process):
@@ -40,12 +41,15 @@ exact sequential accounting (e.g. Table 2) must keep ``n_workers=None``.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import numpy as np
 
-from .beam_search import batch_point_beam_search
 from .distances import DistanceComputer
-from .diversification import Diversifier, PruneCounter, get_diversifier
+from .diversification import Diversifier, PruneCounter
 from .graph import CSRGraph, Graph
+from .kernels import batch_point_search, resolve_backend
+from .refine import insert_round
 from .shared import SharedArrayPack
 
 __all__ = ["plan_rounds", "build_ii_graph_batched"]
@@ -100,46 +104,21 @@ def _build_worker_search_chunk(payload: tuple) -> list[tuple]:
     shared by every chunk); the chunk itself is ``(points, seeds_per_point)``
     plus the round's ``k``/``beam_width`` and kernel backend.  Returns
     per-node ``(ids, dists, distance_call_delta)`` tuples in chunk order.
+    ``exclude`` in the pack carries the streaming tier's tombstones: flagged
+    nodes route but never become candidates.
     """
     csr_specs, points, seeds_per_point, k, beam_width, kernel = payload
     arrays, segments = SharedArrayPack.attach(csr_specs)
     try:
         frozen = CSRGraph(arrays["indptr"], arrays["indices"], validate=False)
-        computer = _BUILD_WORKER["computer"]
-        results = _round_point_searches(
-            frozen, computer, points, seeds_per_point, k, beam_width, kernel,
-            exclude_mask=arrays.get("exclude"),
+        results = batch_point_search(
+            frozen, _BUILD_WORKER["computer"], points, seeds_per_point, k,
+            beam_width, backend=kernel, exclude_mask=arrays.get("exclude"),
         )
         return [(r.ids, r.dists, r.distance_calls) for r in results]
     finally:
         for segment in segments:
             segment.close()
-
-
-def _round_point_searches(
-    graph, computer, points, seeds_per_point, k, beam_width, kernel,
-    visited_mask=None, exclude_mask=None,
-):
-    """One round's candidate searches through the selected beam kernel.
-
-    The vectorized multi-query kernel and the scalar
-    :func:`batch_point_beam_search` reference are bit-identical per point,
-    so the constructed graph and its distance accounting do not depend on
-    the backend (or on whether a chunk ran in-process or in a worker).
-    ``exclude_mask`` carries the streaming tier's tombstones into insert /
-    consolidation rounds: flagged nodes route but never become candidates.
-    """
-    from .kernels import batch_point_search, resolve_backend
-
-    if resolve_backend(kernel) == "scalar":
-        return batch_point_beam_search(
-            graph, computer, points, seeds_per_point, k, beam_width,
-            visited_mask=visited_mask, exclude_mask=exclude_mask,
-        )
-    return batch_point_search(
-        graph, computer, points, seeds_per_point, k, beam_width, backend=kernel,
-        exclude_mask=exclude_mask,
-    )
 
 
 def build_ii_graph_batched(
@@ -176,11 +155,10 @@ def build_ii_graph_batched(
         available — fan-out overhead dominates tiny rounds, and the result
         is identical either way.
     kernel:
-        Construction-kernel backend (``scalar`` / ``python`` / ``numba`` /
-        ``auto``; ``None`` defers to ``$REPRO_KERNEL``).  Selects both the
-        beam kernel of the per-round candidate searches and the batched
-        diversification kernels (:mod:`repro.core.build_kernels`) used for
-        the round's primary prunes and overflow re-prunes.  Backends are
+        Construction-kernel backend (``python`` or ``scalar``; ``None``
+        defers to ``$REPRO_KERNEL``).  Selects the beam kernel of the
+        per-round candidate searches and the backend of each round's
+        prunes (:func:`~repro.core.refine.insert_round`).  Backends are
         bit-identical, so the constructed graph, prune stats, and distance
         accounting do not depend on this choice.
     phase_times:
@@ -192,38 +170,25 @@ def build_ii_graph_batched(
 
     Returns an :class:`~repro.core.incremental.IIBuildResult`.
     """
-    from time import perf_counter
-
-    from .incremental import IIBuildResult, RandomBuildSeeds, _prune_with_stats
-    from .kernels import resolve_backend
+    from .incremental import IIBuildResult, RandomBuildSeeds, _resolve_insertion_order
 
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if rng is None:
         rng = np.random.default_rng(0)
+    backend = resolve_backend(kernel)
     n = computer.n
     graph = Graph(n)
     prune_stats = PruneCounter()
-    params = diversify_params or {}
-    if isinstance(diversify, str):
-        diversifier = get_diversifier(diversify, **params)
-        bare = get_diversifier(diversify)
-    else:
-        diversifier = diversify
-        bare = None
+    stats = prune_stats if track_pruning else None
     if build_seeds is None:
         build_seeds = RandomBuildSeeds()
-    use_batched = bare is not None and resolve_backend(kernel) != "scalar"
-    if use_batched:
-        from .build_kernels import diversify_many, prune_merged_many
-    if phase_times is not None:
-        for key in ("search", "prune", "merge"):
-            phase_times.setdefault(key, 0.0)
-    t_search = t_prune = t_merge = 0.0
+    if phase_times is None:
+        phase_times = {}
+    for key in ("search", "prune", "merge"):
+        phase_times.setdefault(key, 0.0)
     mark = computer.checkpoint()
-    if insertion_order is None:
-        insertion_order = rng.permutation(n)
-    insertion_order = np.asarray(insertion_order, dtype=np.int64)
+    insertion_order = _resolve_insertion_order(insertion_order, n, rng)
     # one base seed drawn from the caller's stream: every per-node generator
     # derives from (base_seed, rank), so randomness is a pure function of the
     # insertion rank — the first determinism mechanism
@@ -241,12 +206,11 @@ def build_ii_graph_batched(
     build_seeds.on_insert(
         inserted[0], computer, np.random.default_rng((base_seed, 0))
     )
-    scratch = np.zeros(n, dtype=bool)
     pool = None
     data_pack = None
     try:
         for start, stop in plan_rounds(n, max_round_size):
-            nodes = [int(insertion_order[rank]) for rank in range(start, stop)]
+            nodes = insertion_order[start:stop].tolist()
             rngs = [
                 np.random.default_rng((base_seed, rank))
                 for rank in range(start, stop)
@@ -257,9 +221,8 @@ def build_ii_graph_batched(
                 build_seeds.seeds_for(node, inserted, computer, node_rng)
                 for node, node_rng in zip(nodes, rngs)
             ]
-            prefix = start
-            width = min(beam_width, max(8, prefix))
-            k = min(width, prefix)
+            width = min(beam_width, max(8, start))
+            k = min(width, start)
 
             t0 = perf_counter()
             if n_workers > 1 and len(nodes) >= min_parallel_round:
@@ -267,96 +230,36 @@ def build_ii_graph_batched(
                     pool, data_pack = _start_pool(computer, n_workers)
                 searches = _run_round_in_pool(
                     pool, graph, computer, nodes, seeds_per_node, k, width,
-                    n_workers, kernel,
+                    n_workers, backend,
                 )
             else:
                 searches = [
                     (r.ids, r.dists)
-                    for r in _round_point_searches(
+                    for r in batch_point_search(
                         graph, computer, nodes, seeds_per_node, k, width,
-                        kernel, visited_mask=scratch,
+                        backend=backend,
                     )
                 ]
-            t_search += perf_counter() - t0
+            phase_times["search"] += perf_counter() - t0
 
-            # primary diversifications depend only on the round's frozen
-            # searches, never on the merge state, so the whole round prunes
-            # in one batched call (counter sums commute: same totals as the
-            # interleaved per-node order)
+            insert_round(
+                graph, computer, nodes, searches, max_degree, diversify,
+                diversify_params, backend, stats=stats,
+                prune_overflow=prune_overflow, phase_times=phase_times,
+            )
+            # the SN stack grows from the vectors alone, never from the base
+            # graph, so its upkeep can follow the round's merge
             t0 = perf_counter()
-            if use_batched:
-                kept_per_node = diversify_many(
-                    computer, searches, max_degree, diversify,
-                    params=params, backend=kernel,
-                )
-            else:
-                kept_per_node = [
-                    diversifier(computer, cand_ids, cand_dists, max_degree)
-                    for cand_ids, cand_dists in searches
-                ]
-            t_prune += perf_counter() - t0
-
-            # deterministic merge: one sequential pass in insertion-rank order
-            # (overflow-prune time inside the loop is charged to the prune
-            # phase, not the merge phase)
-            t0 = perf_counter()
-            t_overflow = 0.0
-            for node, node_rng, kept in zip(nodes, rngs, kept_per_node):
-                graph.set_neighbors(node, kept)
-                if use_batched:
-                    overflow_owners: list[int] = []
-                    overflow_merged: list[np.ndarray] = []
-                    for nbr in kept:
-                        nbr = int(nbr)
-                        merged = np.concatenate([graph.neighbors(nbr), [node]])
-                        if prune_overflow and merged.size > max_degree:
-                            overflow_owners.append(nbr)
-                            overflow_merged.append(merged)
-                        else:
-                            graph.set_neighbors(nbr, merged)
-                    if overflow_owners:
-                        tp = perf_counter()
-                        pruned = prune_merged_many(
-                            computer, overflow_owners, overflow_merged,
-                            max_degree, diversify, params=params,
-                            stats=prune_stats if track_pruning else None,
-                            backend=kernel,
-                        )
-                        t_overflow += perf_counter() - tp
-                        for nbr, kept_nbr in zip(overflow_owners, pruned):
-                            graph.set_neighbors(nbr, kept_nbr)
-                else:
-                    for nbr in kept:
-                        nbr = int(nbr)
-                        merged = np.concatenate([graph.neighbors(nbr), [node]])
-                        if prune_overflow and merged.size > max_degree:
-                            tp = perf_counter()
-                            dists_nbr = computer.one_to_many(nbr, merged)
-                            if track_pruning:
-                                merged = _prune_with_stats(
-                                    diversifier, bare, params, computer,
-                                    merged, dists_nbr, max_degree, prune_stats,
-                                )
-                            else:
-                                merged = diversifier(
-                                    computer, merged, dists_nbr, max_degree
-                                )
-                            t_overflow += perf_counter() - tp
-                        graph.set_neighbors(nbr, merged)
+            for node, node_rng in zip(nodes, rngs):
                 inserted.append(node)
                 build_seeds.on_insert(node, computer, node_rng)
-            t_prune += t_overflow
-            t_merge += perf_counter() - t0 - t_overflow
+            phase_times["merge"] += perf_counter() - t0
     finally:
         if pool is not None:
             pool.close()
             pool.join()
         if data_pack is not None:
             data_pack.unlink()
-    if phase_times is not None:
-        phase_times["search"] += t_search
-        phase_times["prune"] += t_prune
-        phase_times["merge"] += t_merge
     result.distance_calls = computer.since(mark)
     return result
 

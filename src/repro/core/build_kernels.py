@@ -35,10 +35,7 @@ strategy once per request, at every backend:
 Backends ride the existing ``REPRO_KERNEL`` machinery
 (:func:`~repro.core.kernels.resolve_backend`): ``scalar`` runs the
 per-request reference strategies unchanged; ``python`` is the lockstep
-kernel above; ``numba`` aliases ``python`` — the accept decisions replay
-BLAS-GEMV bit patterns, so a jitted scalar rewrite of the distance math
-would break the bit-identity contract, and the remaining per-round
-bookkeeping is too thin to pay for a jit.
+kernel above.
 """
 
 from __future__ import annotations

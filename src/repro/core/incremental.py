@@ -14,11 +14,14 @@ independently.  This module is that apparatus:
   ``max_degree`` neighbors;
 * bi-directional edges are added, re-pruning any overflowing neighbor list
   with the same ND strategy.
+
+The last two steps are :func:`~repro.core.refine.insert_round` with a round
+of one node; the batched builder and streaming inserts run the same round
+with more nodes.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -26,9 +29,11 @@ import numpy as np
 
 from .beam_search import beam_search
 from .distances import DistanceComputer
-from .diversification import Diversifier, PruneCounter, get_diversifier, rnd
+from .diversification import Diversifier, PruneCounter, rnd
 from .graph import Graph
 from .heap import NeighborQueue
+from .kernels import resolve_backend
+from .refine import insert_round
 
 __all__ = [
     "IIBuildResult",
@@ -255,7 +260,8 @@ def build_ii_graph(
     build_seeds:
         Build-time seed provider; defaults to :class:`RandomBuildSeeds`.
     insertion_order:
-        Optional permutation of node ids; random when omitted.
+        Optional permutation of node ids (``ValueError`` otherwise); random
+        when omitted.
     diversify_params:
         Extra parameters bound to the ND strategy (``alpha``,
         ``theta_degrees``).
@@ -278,15 +284,13 @@ def build_ii_graph(
         Round-size cap for the batched builder (ignored when ``n_workers``
         is ``None``).
     kernel:
-        Construction-kernel backend (``None`` = ``$REPRO_KERNEL`` =
-        ``auto``; results are bit-identical across backends).  For the
-        batched builder it selects the beam kernel of the per-round
-        candidate searches *and* the batched diversification kernels.  For
-        the sequential protocol the per-insertion candidate searches stay
-        scalar (each insertion must see the previous one's edges), but the
-        diversification and overflow prunes route through the batched
-        construction kernels (:mod:`repro.core.build_kernels`) — same
-        graph, prune stats, and distance accounting either way.
+        Construction-kernel backend (``python`` or ``scalar``; ``None`` =
+        ``$REPRO_KERNEL``).  Selects the backend of every insertion round's
+        prunes (:func:`~repro.core.refine.insert_round`) and, for the
+        batched builder, of its candidate searches; the sequential
+        protocol's searches are scalar :func:`beam_search` calls, since each
+        insertion must see the previous one's edges.  Graph, prune stats
+        and distance accounting are the same at every backend.
     """
     if n_workers is not None:
         from .batch_build import build_ii_graph_batched
@@ -308,102 +312,34 @@ def build_ii_graph(
         )
     if rng is None:
         rng = np.random.default_rng(0)
+    backend = resolve_backend(kernel)
     n = computer.n
     graph = Graph(n)
     prune_stats = PruneCounter()
-    params = diversify_params or {}
-    if isinstance(diversify, str):
-        diversifier = get_diversifier(diversify, **params)
-        bare = get_diversifier(diversify)
-    else:
-        diversifier = diversify
-        bare = None
     if build_seeds is None:
         build_seeds = RandomBuildSeeds()
-    # named strategies route through the batched construction kernels unless
-    # the scalar reference backend is pinned; custom callables always run
-    # the per-node path (their internals cannot be replayed over a matrix)
-    from .kernels import resolve_backend
-
-    use_batched = bare is not None and resolve_backend(kernel) != "scalar"
-    if use_batched:
-        from .build_kernels import diversify_many, prune_merged_many
     mark = computer.checkpoint()
-    if insertion_order is None:
-        insertion_order = rng.permutation(n)
+    insertion_order = _resolve_insertion_order(insertion_order, n, rng)
     inserted: list[int] = []
     visited_mask = np.zeros(n, dtype=bool)
 
-    for node in insertion_order:
-        node = int(node)
-        if not inserted:
-            inserted.append(node)
-            build_seeds.on_insert(node, computer, rng)
-            continue
-        seeds = build_seeds.seeds_for(node, inserted, computer, rng)
-        width = min(beam_width, max(8, len(inserted)))
-        result = beam_search(
-            graph,
-            computer,
-            computer.data[node],
-            seeds,
-            k=min(width, len(inserted)),
-            beam_width=width,
-            visited_mask=visited_mask,
-        )
-        cand_ids, cand_dists = result.ids, result.dists
-        if use_batched:
-            kept = diversify_many(
-                computer, [(cand_ids, cand_dists)], max_degree, diversify,
-                params=params, backend=kernel,
-            )[0]
-            graph.set_neighbors(node, kept)
-            # one insertion's reverse merges touch pairwise-distinct rows, so
-            # the overflow prunes are independent and batch into one
-            # segmented distance call + replay (bit-identical rows/stats)
-            overflow_owners: list[int] = []
-            overflow_merged: list[np.ndarray] = []
-            for nbr in kept:
-                nbr = int(nbr)
-                merged = np.concatenate([graph.neighbors(nbr), [node]])
-                if prune_overflow and merged.size > max_degree:
-                    overflow_owners.append(nbr)
-                    overflow_merged.append(merged)
-                else:
-                    graph.set_neighbors(nbr, merged)
-            if overflow_owners:
-                # Table 1 measures the pruning ratio here: how much of an
-                # overflowing (R+1-sized) neighbor list the ND predicate
-                # itself removes, beyond what the degree cap would.
-                pruned = prune_merged_many(
-                    computer, overflow_owners, overflow_merged, max_degree,
-                    diversify, params=params,
-                    stats=prune_stats if track_pruning else None,
-                    backend=kernel,
-                )
-                for nbr, kept_nbr in zip(overflow_owners, pruned):
-                    graph.set_neighbors(nbr, kept_nbr)
-        else:
-            kept = diversifier(computer, cand_ids, cand_dists, max_degree)
-            graph.set_neighbors(node, kept)
-            for nbr in kept:
-                nbr = int(nbr)
-                merged = np.concatenate([graph.neighbors(nbr), [node]])
-                if prune_overflow and merged.size > max_degree:
-                    dists_nbr = computer.one_to_many(nbr, merged)
-                    # Table 1 measures the pruning ratio here: how much of an
-                    # overflowing (R+1-sized) neighbor list the ND predicate
-                    # itself removes, beyond what the degree cap would.
-                    if track_pruning:
-                        merged = _prune_with_stats(
-                            diversifier, bare, params, computer, merged,
-                            dists_nbr, max_degree, prune_stats,
-                        )
-                    else:
-                        merged = diversifier(
-                            computer, merged, dists_nbr, max_degree
-                        )
-                graph.set_neighbors(nbr, merged)
+    # a round of one node per insertion: each search sees every edge the
+    # previous insertions wrote
+    for node in insertion_order.tolist():
+        if inserted:
+            seeds = build_seeds.seeds_for(node, inserted, computer, rng)
+            width = min(beam_width, max(8, len(inserted)))
+            result = beam_search(
+                graph, computer, computer.data[node], seeds,
+                k=min(width, len(inserted)), beam_width=width,
+                visited_mask=visited_mask,
+            )
+            insert_round(
+                graph, computer, [node], [(result.ids, result.dists)],
+                max_degree, diversify, diversify_params, backend,
+                stats=prune_stats if track_pruning else None,
+                prune_overflow=prune_overflow,
+            )
         inserted.append(node)
         build_seeds.on_insert(node, computer, rng)
     return IIBuildResult(
@@ -414,55 +350,20 @@ def build_ii_graph(
     )
 
 
-def _accepts_stats(diversifier) -> bool:
-    """Whether a diversifier callable accepts a ``stats=`` keyword.
+def _resolve_insertion_order(
+    insertion_order, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The order an II builder inserts in: validated, or drawn from ``rng``.
 
-    Decided from the signature, never by calling the diversifier: probing
-    with ``stats=`` and catching ``TypeError`` would also swallow genuine
-    ``TypeError``s raised *inside* a stats-accepting diversifier and then
-    silently re-run it without stats, double-charging distance calls.
+    An explicit order must be a permutation of ``range(n)``: a repeated or
+    missing id would leave nodes isolated or insert one twice.
     """
-    try:
-        return _ACCEPTS_STATS_CACHE[diversifier]
-    except TypeError:  # unhashable callable: inspect without caching
-        return _accepts_stats_uncached(diversifier)
-    except KeyError:
-        accepts = _accepts_stats_uncached(diversifier)
-        _ACCEPTS_STATS_CACHE[diversifier] = accepts
-        return accepts
-
-
-def _accepts_stats_uncached(diversifier) -> bool:
-    try:
-        parameters = inspect.signature(diversifier).parameters
-    except (TypeError, ValueError):  # builtins/exotic callables: be conservative
-        return False
-    if "stats" in parameters:
-        kind = parameters["stats"].kind
-        return kind not in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.VAR_POSITIONAL,
+    if insertion_order is None:
+        return rng.permutation(n)
+    order = np.asarray(insertion_order)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(
+            f"insertion_order must be a permutation of range({n}); got "
+            f"{order.size} entries with {np.unique(order).size} distinct ids"
         )
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-_ACCEPTS_STATS_CACHE: dict = {}
-
-
-def _prune_with_stats(
-    diversifier, bare, params, computer, cand_ids, cand_dists, max_degree, stats
-):
-    """Run the prune once, with stats, without double-charging distances."""
-    if bare is not None:
-        return bare(computer, cand_ids, cand_dists, max_degree, stats=stats, **params)
-    if _accepts_stats(diversifier):
-        return diversifier(
-            computer, cand_ids, cand_dists, max_degree, stats=stats
-        )
-    kept = diversifier(computer, cand_ids, cand_dists, max_degree)
-    examined = min(len(cand_ids), max_degree + (len(cand_ids) - len(kept)))
-    stats.examined += examined
-    stats.rejected += max(0, examined - len(kept))
-    return kept
+    return order.astype(np.int64)

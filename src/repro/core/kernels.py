@@ -37,13 +37,7 @@ replayed through :func:`_merge_row`, a faithful transliteration of
 Backends (runtime-selected via ``REPRO_KERNEL`` or per call):
 
 ``python``
-    Pure-numpy lockstep kernel described above.
-``numba``
-    Same lockstep loop with every per-row merge jitted (no tie fallback
-    needed — the jitted merge replays offers exactly).  Auto-falls back to
-    ``python`` with a warning when Numba is not installed.
-``auto``
-    ``numba`` when available, else ``python``.
+    Pure-numpy lockstep kernel described above (the default).
 ``scalar``
     Not a batch kernel: callers run the accounting-faithful per-query
     reference path (:func:`beam_search` / :func:`batch_point_beam_search`).
@@ -52,7 +46,6 @@ Backends (runtime-selected via ``REPRO_KERNEL`` or per call):
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 
@@ -72,7 +65,6 @@ from .graph import CSRGraph
 __all__ = [
     "AcornExpansion",
     "KERNEL_BACKENDS",
-    "have_numba",
     "resolve_backend",
     "batch_search",
     "batch_search_pq",
@@ -80,114 +72,74 @@ __all__ = [
 ]
 
 #: Recognized ``REPRO_KERNEL`` values.
-KERNEL_BACKENDS = ("auto", "python", "numba", "scalar")
+KERNEL_BACKENDS = ("python", "scalar")
 
 #: Default number of queries advanced in lockstep per chunk.  Bounds the
 #: per-chunk visited-state footprint at ``chunk_size * graph.n`` bytes while
 #: amortizing the per-iteration fixed cost; results are chunk-size-invariant.
 DEFAULT_CHUNK_SIZE = 256
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _numba = None
-    _HAVE_NUMBA = False
-
-
-def have_numba() -> bool:
-    """Whether the jitted merge backend is importable in this environment."""
-    return _HAVE_NUMBA
-
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend name (or ``None`` = ``$REPRO_KERNEL`` = ``auto``).
-
-    ``auto`` resolves to ``numba`` when available, else ``python``; an
-    explicit ``numba`` request without Numba installed falls back to
-    ``python`` with a warning instead of failing (results are identical by
-    contract, only speed differs).
-    """
+    """Resolve a backend name (``None`` = ``$REPRO_KERNEL``, unset = ``python``)."""
     if backend is None:
-        backend = os.environ.get("REPRO_KERNEL") or "auto"
+        backend = os.environ.get("REPRO_KERNEL") or "python"
     backend = backend.strip().lower()
     if backend not in KERNEL_BACKENDS:
         raise ValueError(
             f"unknown kernel backend {backend!r}; expected one of {KERNEL_BACKENDS}"
         )
-    if backend == "auto":
-        return "numba" if _HAVE_NUMBA else "python"
-    if backend == "numba" and not _HAVE_NUMBA:
-        warnings.warn(
-            "REPRO_KERNEL=numba requested but numba is not importable; "
-            "falling back to the pure-python vectorized kernel "
-            "(bit-identical results, lower throughput)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "python"
     return backend
 
 
 # ----------------------------------------------------------------------
 # per-row merge: the NeighborQueue offer sequence as a flat function
 # ----------------------------------------------------------------------
-def _make_merge_row():
-    def _merge_row(dists, ids, expanded, size, cand_dists, cand_ids, capacity):
-        """Offer one candidate segment to one query's sorted beam row.
+def _merge_row(dists, ids, expanded, size, cand_dists, cand_ids, capacity):
+    """Offer one candidate segment to one query's sorted beam row.
 
-        Replays exactly what the scalar hot loop does with a
-        ``NeighborQueue``: offers are processed in order under the evolving
-        acceptance bound, kept sorted ascending with equal-distance inserts
-        placed leftmost, duplicates rejected, and the tail evicted on
-        overflow.  Mutates the row arrays in place and returns the new size.
-        """
+    Replays exactly what the scalar hot loop does with a
+    ``NeighborQueue``: offers are processed in order under the evolving
+    acceptance bound, kept sorted ascending with equal-distance inserts
+    placed leftmost, duplicates rejected, and the tail evicted on
+    overflow.  Mutates the row arrays in place and returns the new size.
+    """
+    if size == capacity:
+        bound = dists[size - 1]
+    else:
+        bound = np.inf
+    for t in range(cand_dists.shape[0]):
+        dist = cand_dists[t]
+        if dist >= bound:
+            continue
+        node = cand_ids[t]
+        duplicate = False
+        for p in range(size):
+            if ids[p] == node:
+                duplicate = True
+                break
+        if duplicate:
+            continue
+        pos = 0
+        while pos < size and dists[pos] < dist:
+            pos += 1
+        if size == capacity:
+            tail = size - 1
+        else:
+            tail = size
+            size += 1
+        p = tail
+        while p > pos:
+            dists[p] = dists[p - 1]
+            ids[p] = ids[p - 1]
+            expanded[p] = expanded[p - 1]
+            p -= 1
+        dists[pos] = dist
+        ids[pos] = node
+        expanded[pos] = False
         if size == capacity:
             bound = dists[size - 1]
-        else:
-            bound = np.inf
-        for t in range(cand_dists.shape[0]):
-            dist = cand_dists[t]
-            if dist >= bound:
-                continue
-            node = cand_ids[t]
-            duplicate = False
-            for p in range(size):
-                if ids[p] == node:
-                    duplicate = True
-                    break
-            if duplicate:
-                continue
-            pos = 0
-            while pos < size and dists[pos] < dist:
-                pos += 1
-            if size == capacity:
-                tail = size - 1
-            else:
-                tail = size
-                size += 1
-            p = tail
-            while p > pos:
-                dists[p] = dists[p - 1]
-                ids[p] = ids[p - 1]
-                expanded[p] = expanded[p - 1]
-                p -= 1
-            dists[pos] = dist
-            ids[pos] = node
-            expanded[pos] = False
-            if size == capacity:
-                bound = dists[size - 1]
-        return size
-
-    return _merge_row
-
-
-_merge_row = _make_merge_row()
-if _HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    _merge_row_jit = _numba.njit(nogil=True)(_make_merge_row())
-else:
-    _merge_row_jit = _merge_row
+    return size
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +205,7 @@ class _MergeWorkspace:
 
 def _merge_batch(
     beam_d, beam_i, beam_e, sizes, lanes, cand_d, cand_i, seg_starts, seg_stops,
-    capacity, backend, ws, rows_rep=None,
+    capacity, ws, rows_rep=None,
 ):
     """Merge each lane's candidate segment into its beam row.
 
@@ -290,24 +242,13 @@ def _merge_batch(
             rows_rep = (np.cumsum(nonzero) - 1)[rows_rep]
         seg_stops = np.cumsum(counts)
         seg_starts = seg_stops - counts
-    if backend == "numba":
-        for r in range(lanes.size):
-            start, stop = int(seg_starts[r]), int(seg_stops[r])
-            if start == stop:
-                continue
-            lane = int(lanes[r])
-            sizes[lane] = _merge_row_jit(
-                beam_d[lane], beam_i[lane], beam_e[lane], int(sizes[lane]),
-                cand_d[start:stop], cand_i[start:stop], capacity,
-            )
-        return
-    _merge_batch_python(
+    _merge_sorted(
         beam_d, beam_i, beam_e, sizes, lanes, cand_d, cand_i,
         seg_starts, seg_stops, capacity, ws, rows_rep,
     )
 
 
-def _merge_batch_python(
+def _merge_sorted(
     beam_d, beam_i, beam_e, sizes, lanes, cand_d, cand_i, seg_starts, seg_stops,
     capacity, ws, rows_rep,
 ):
@@ -485,7 +426,6 @@ def _search_chunk(
     score_segments,
     k: int,
     beam_width: int,
-    backend: str,
     exclude_masks: list | None = None,
     policy: AcornExpansion | None = None,
     collect_visited: bool = False,
@@ -543,7 +483,7 @@ def _search_chunk(
     log = [(seed_rows, flat_seeds, seed_dists)] if collect_visited else None
     _merge_batch(
         beam_d, beam_i, beam_e, sizes, lanes_all, seed_dists, flat_seeds,
-        seg_starts, seg_stops, beam_width, backend, ws, rows_rep=seed_rows,
+        seg_starts, seg_stops, beam_width, ws, rows_rep=seed_rows,
     )
 
     # ---- lockstep hop loop ----
@@ -586,8 +526,7 @@ def _search_chunk(
                     log.append((active[fresh_rows], fresh, dists))
                 _merge_batch(
                     beam_d, beam_i, beam_e, sizes, active, dists, fresh,
-                    seg_starts, seg_stops, beam_width, backend, ws,
-                    rows_rep=fresh_rows,
+                    seg_starts, seg_stops, beam_width, ws, rows_rep=fresh_rows,
                 )
 
     if log is not None:
@@ -723,7 +662,6 @@ def batch_search(
         results.extend(
             _search_chunk(
                 graph, computer, seeds_list[start:stop], score, k, beam_width,
-                backend,
                 exclude_masks=None if masks is None else masks[start:stop],
                 policy=None if acorn is None else acorn.chunk(start, stop),
                 collect_visited=collect_visited,
@@ -796,7 +734,7 @@ def batch_search_pq(
         # k = beam_width: phase one must surface the whole beam for re-rank
         beams = _search_chunk(
             graph, computer, seeds_list[start:stop], score, beam_width,
-            beam_width, backend,
+            beam_width,
         )
         for offset, beam in enumerate(beams):
             computer.note_graph_reads(beam.hops)
@@ -868,7 +806,6 @@ def batch_point_search(
         results.extend(
             _search_chunk(
                 graph, computer, seeds_list[start:stop], score, k, beam_width,
-                backend,
                 exclude_masks=None if masks is None else masks[start:stop],
                 collect_visited=collect_visited,
             )

@@ -17,7 +17,7 @@ sweep would.  Quality after convergence is equivalent; iteration counts may
 differ slightly.
 
 **Backends.**  The per-node reference loop (``scalar``) and the vectorized
-whole-iteration path (``python``; ``numba`` currently aliases it) implement
+whole-iteration path (``python``) implement
 the same protocol and are **bit-identical**: same neighbor lists, same
 per-iteration update counts, same ``distance_calls``.  The vectorized path
 replaces the per-node ``one_to_many`` calls with one segmented batched
@@ -34,6 +34,7 @@ import numpy as np
 
 from .distances import DistanceComputer
 from .graph import Graph
+from .kernels import resolve_backend
 
 __all__ = ["NNDescentResult", "nn_descent", "random_knn_init", "knn_graph_to_graph"]
 
@@ -62,16 +63,6 @@ class NNDescentResult:
     updates: list[int]
 
 
-def _resolve_build_backend(backend: str | None) -> str:
-    from .kernels import resolve_backend
-
-    resolved = resolve_backend(backend)
-    # no jitted NN-descent merge yet: the numba selection runs the same
-    # vectorized python path (bit-identical by contract, so this is purely
-    # a speed decision)
-    return "scalar" if resolved == "scalar" else "python"
-
-
 def random_knn_init(
     computer: DistanceComputer,
     k: int,
@@ -87,7 +78,7 @@ def random_knn_init(
     n = computer.n
     if k >= n:
         raise ValueError(f"k ({k}) must be < n ({n})")
-    if _resolve_build_backend(backend) == "scalar":
+    if resolve_backend(backend) == "scalar":
         ids = np.empty((n, k), dtype=np.int64)
         dists = np.empty((n, k), dtype=np.float64)
         for node in range(n):
@@ -147,12 +138,12 @@ def nn_descent(
     convergence_threshold:
         Stop when fewer than ``threshold * n * k`` entries changed.
     backend:
-        Construction-kernel backend (``None`` = ``$REPRO_KERNEL`` =
-        ``auto``).  ``scalar`` runs the per-node reference loop; the
+        Construction-kernel backend (``None`` = ``$REPRO_KERNEL``, else
+        ``python``).  ``scalar`` runs the per-node reference loop; the
         vectorized path is bit-identical per the module contract.
     """
     n = computer.n
-    resolved = _resolve_build_backend(backend)
+    resolved = resolve_backend(backend)
     if init_ids is None or init_dists is None:
         ids, dists = random_knn_init(computer, k, rng, backend=resolved)
     else:

@@ -1,28 +1,32 @@
-"""Frozen-round refinement: the build stage Vamana, NSG and SSG share.
+"""Frozen rounds: the one edge-writing step every graph builder shares.
 
-The refinement builders rebuild every node's neighbourhood from a candidate
-pool: search (or expand) around the node, prune the pool with an ND
-strategy, write the forward list, and — for Vamana — insert the reverse
-edges under the degree cap.  Done one node at a time that is one scalar
-beam search and one scalar prune per node.  This module does it a *round*
-of nodes at a time, ParlayANN-style (the recipe
-:mod:`~repro.core.batch_build` follows for incremental insertion):
+Every builder takes a node's candidate pool, prunes it with an ND strategy,
+writes the forward list and adds reverse edges under the degree cap.  This
+module does that a *round* of nodes at a time, ParlayANN-style: the pools
+are scored against the graph as it stood when the round began, ALL of them
+are pruned by ONE :func:`~repro.core.build_kernels.diversify_many`, and the
+forward lists are written in rank order.  The two round kinds differ in how
+reverse edges land, because the two protocols do:
 
-* every node of the round searches the graph as it stood when the round
-  began — ONE lockstep batch through :func:`~repro.core.kernels.batch_search`
-  with the visited lists collected (:func:`search_pools`);
-* all pools are pruned by ONE
-  :func:`~repro.core.build_kernels.diversify_many` and the forward lists
-  written in rank order (:func:`refine_round`);
-* back-edges are grouped by target, sources in rank order, and every
-  overflowing target is re-pruned by ONE
-  :func:`~repro.core.build_kernels.prune_merged_many`.
+* :func:`insert_round` — incremental insertion (HNSW, NSW, LSHAPG, the
+  Section 4 apparatus, streaming inserts).  The round's nodes are new, so
+  no pool holds one of them.  Per insertion, in rank order, the node is
+  appended to each kept neighbour's list and the lists that overflow are
+  re-pruned by ONE :func:`~repro.core.build_kernels.prune_merged_many`
+  (one insertion's targets are pairwise distinct).  A neighbour hit by
+  several insertions is re-pruned once per hit, as the sequential
+  protocol does.  A diversifier callable cannot be batched; it is called
+  once per pool and once per overflowing list instead.
+* :func:`refine_round` — refinement (Vamana, NSG, SSG).  The round's nodes
+  rewrite lists they already have; back-edges are grouped by target and
+  every overflowing target is deduplicated and re-pruned once per round.
+  A mode flag joining the two would hide two protocols behind one name.
 
 Nothing in a round depends on which backend ran it: ``scalar`` makes the
 same calls in the same order through the reference functions
 (``beam_search``, the scalar diversifiers, ``one_to_many``), and every
-batched call is bit-identical to those per request, so graphs and
-distance-call totals are equal at every ``REPRO_KERNEL``.
+batched call is bit-identical to those per request, so graphs, prune stats
+and distance-call totals are equal at every ``REPRO_KERNEL``.
 
 A round of one node is the strictly sequential pass of the papers: the
 node sees every edge its predecessors wrote, each target receives exactly
@@ -35,11 +39,15 @@ so those builders take one kernel chunk per round.
 
 from __future__ import annotations
 
+import inspect
+from time import perf_counter
+
 import numpy as np
 
 from .beam_search import beam_search
 from .build_kernels import diversify_many, prune_merged_many
 from .distances import DistanceComputer
+from .diversification import Diversifier, PruneCounter
 from .graph import Graph
 from .kernels import batch_search
 
@@ -47,6 +55,7 @@ __all__ = [
     "REFINE_ROUND_SIZE",
     "point_distances",
     "search_pools",
+    "insert_round",
     "refine_round",
     "link_unreachable",
 ]
@@ -121,6 +130,121 @@ def search_pools(
             cand_ids, cand_dists = cand_ids[top], cand_dists[top]
         pools.append((cand_ids, cand_dists))
     return pools
+
+
+def insert_round(
+    graph: Graph,
+    computer: DistanceComputer,
+    nodes,
+    pools: list[tuple[np.ndarray, np.ndarray]],
+    max_degree: int,
+    strategy: str | Diversifier,
+    params: dict | None,
+    backend: str | None,
+    stats: PruneCounter | None = None,
+    prune_overflow: bool = True,
+    phase_times: dict | None = None,
+) -> None:
+    """Link one round of newly inserted ``nodes`` into ``graph`` (II).
+
+    ``pools[r]`` is the ``(cand_ids, cand_dists)`` pool of ``nodes[r]``,
+    scored against the graph before the round; no pool may hold a node of
+    the round, so no forward list is a back-edge target.  ``strategy`` /
+    ``params`` select the ND strategy (or ``strategy`` is a diversifier
+    callable).  Each kept edge ``node -> target`` also appends ``node`` to
+    ``target``'s list, insertions in rank order; with
+    ``prune_overflow`` a list that outgrows ``max_degree`` is re-pruned
+    with the same strategy.  ``stats`` counts the overflow prunes only —
+    Table 1's pruning ratio: how much of an R+1-sized list the ND predicate
+    itself removes, beyond what the degree cap would.  ``phase_times``, if
+    given, accumulates wall-clock seconds under ``prune`` and ``merge``.
+    """
+    named = isinstance(strategy, str)
+    t_round = perf_counter()
+    if named:
+        kept_per_node = diversify_many(
+            computer, pools, max_degree, strategy, params=params, backend=backend
+        )
+    else:
+        kept_per_node = [
+            strategy(computer, cand_ids, cand_dists, max_degree)
+            for cand_ids, cand_dists in pools
+        ]
+    t_prune = perf_counter() - t_round
+    for node, kept in zip(nodes, kept_per_node):
+        graph.set_neighbors(int(node), kept)
+        owners, merged_lists = [], []
+        for target in np.asarray(kept).tolist():
+            merged = np.concatenate([graph.neighbors(target), [node]])
+            if prune_overflow and merged.size > max_degree:
+                owners.append(target)
+                merged_lists.append(merged)
+            else:
+                graph.set_neighbors(target, merged)
+        if not owners:
+            continue
+        t_start = perf_counter()
+        if named:
+            pruned = prune_merged_many(
+                computer, owners, merged_lists, max_degree, strategy,
+                params=params, stats=stats, backend=backend,
+            )
+        else:
+            pruned = [
+                _prune_with_stats(
+                    strategy, computer, merged,
+                    computer.one_to_many(owner, merged), max_degree, stats,
+                )
+                for owner, merged in zip(owners, merged_lists)
+            ]
+        t_prune += perf_counter() - t_start
+        for owner, kept_owner in zip(owners, pruned):
+            graph.set_neighbors(owner, kept_owner)
+    if phase_times is not None:
+        t_merge = perf_counter() - t_round - t_prune
+        phase_times["prune"] = phase_times.get("prune", 0.0) + t_prune
+        phase_times["merge"] = phase_times.get("merge", 0.0) + t_merge
+
+
+def _prune_with_stats(diversifier, computer, cand_ids, cand_dists, max_degree, stats):
+    """Run a diversifier callable once, charging ``stats`` if given.
+
+    A callable that takes ``stats=`` counts for itself; for one that does
+    not, the examined/rejected counts are estimated from its output, so
+    it still runs exactly once and distances are never charged twice.
+    """
+    if stats is None:
+        return diversifier(computer, cand_ids, cand_dists, max_degree)
+    if _accepts_stats(diversifier):
+        return diversifier(computer, cand_ids, cand_dists, max_degree, stats=stats)
+    kept = diversifier(computer, cand_ids, cand_dists, max_degree)
+    examined = min(len(cand_ids), max_degree + (len(cand_ids) - len(kept)))
+    stats.examined += examined
+    stats.rejected += max(0, examined - len(kept))
+    return kept
+
+
+def _accepts_stats(diversifier) -> bool:
+    """Whether a diversifier callable accepts a ``stats=`` keyword.
+
+    Decided from the signature, never by calling the diversifier: probing
+    with ``stats=`` and catching ``TypeError`` would also swallow genuine
+    ``TypeError``s raised *inside* a stats-accepting diversifier and then
+    silently re-run it without stats, double-charging distance calls.
+    """
+    try:
+        parameters = inspect.signature(diversifier).parameters
+    except (TypeError, ValueError):  # builtins/exotic callables: be conservative
+        return False
+    if "stats" in parameters:
+        kind = parameters["stats"].kind
+        return kind not in (
+            inspect.Parameter.POSITIONAL_ONLY,
+            inspect.Parameter.VAR_POSITIONAL,
+        )
+    return any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
+    )
 
 
 def refine_round(

@@ -14,27 +14,30 @@ way FreshDiskANN does:
 
 * ``insert(vectors)`` appends rows to growable dataset buffers and links the
   new nodes with the incremental-insertion protocol against the *frozen*
-  pre-insert graph — one ParlayANN-style round: every new node's candidate
-  beam search is independent (and fans out over the batched builder's worker
-  pool), then edges are merged in one sequential pass ordered by insertion
-  rank.  Tombstoned nodes route during these searches but never become
+  pre-insert graph — one round of the batched II builder: every new node's
+  candidate beam search is independent (and fans out over the batched
+  builder's worker pool), then ONE :func:`~repro.core.refine.insert_round`
+  prunes the pools and merges the edges in insertion-rank order.
+  Tombstoned nodes route during these searches but never become
   candidates, so new edges only target live nodes.
 
 * ``consolidate()`` is FreshDiskANN's batch delete-consolidation: every live
   node that points at a tombstoned neighbor rebuilds its out-list from the
-  union of its live neighbors and its dead neighbors' live neighbors
-  (re-pruned by the configured ND strategy), computed against the frozen
-  pre-consolidation graph so repairs are order-free; dead nodes' adjacency
-  is then cleared.  Dead ids are never reused.
+  union of its live neighbors and its dead neighbors' live neighbors,
+  re-pruned by the configured ND strategy in ONE
+  :func:`~repro.core.build_kernels.prune_merged_many` (per worker chunk
+  when the pool runs it) against the frozen pre-consolidation graph, so
+  repairs are order-free; dead nodes' adjacency is then cleared.  Dead ids
+  are never reused.
 
 **Determinism contract.**  All mutation randomness derives from
-``(mutation_seed, insertion_rank)``; candidate searches are bit-identical
-across kernel backends and across in-process vs. worker-pool execution; the
-merge/repair passes are sequential in rank/node order; distance work done in
-workers is folded back as order-independent counter deltas.  Graph bytes and
-the aggregate distance-call count after any insert/delete/consolidate
-schedule are therefore bit-identical at every ``n_workers`` and every
-``REPRO_KERNEL`` backend.
+``(mutation_seed, insertion_rank)``; candidate searches and prunes are
+bit-identical across kernel backends and across in-process vs. worker-pool
+execution; merges and repairs are applied in rank/node order; distance work
+done in workers is folded back as order-independent counter deltas.  Graph
+bytes and the aggregate distance-call count after any
+insert/delete/consolidate schedule are therefore bit-identical at every
+``n_workers`` and every ``REPRO_KERNEL`` backend.
 """
 
 from __future__ import annotations
@@ -46,17 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..indexes.base import BaseGraphIndex, BuildReport
-from .batch_build import (
-    _round_point_searches,
-    _run_round_in_pool,
-    _start_pool,
-    build_ii_graph_batched,
-)
+from .batch_build import _run_round_in_pool, _start_pool, build_ii_graph_batched
 from .beam_search import SearchResult, beam_search
+from .build_kernels import prune_merged_many
 from .distances import DistanceComputer
 from .diversification import PruneCounter, get_diversifier
 from .graph import CSRGraph
-from .kernels import resolve_backend
+from .kernels import batch_point_search, resolve_backend
+from .refine import insert_round
 from .shared import SharedArrayPack
 
 __all__ = ["StreamingIndex", "ConsolidationReport"]
@@ -96,6 +96,19 @@ def _repair_candidates(graph, tombstone: np.ndarray, node: int) -> np.ndarray:
     return cand
 
 
+def _repair(graph, computer, tombstone, nodes, max_degree, diversify, params, kernel):
+    """Repaired out-lists of ``nodes``: ONE prune over their repair candidates.
+
+    A pure function of the frozen ``graph``, so a chunk of nodes repairs
+    the same wherever (and in whatever grouping) it runs.
+    """
+    cands = [_repair_candidates(graph, tombstone, node) for node in nodes]
+    return prune_merged_many(
+        computer, list(nodes), cands, max_degree, diversify,
+        params=params, backend=kernel,
+    )
+
+
 def _consolidate_worker_chunk(payload: tuple) -> list[tuple]:
     """Worker entry: repair one chunk of affected nodes on the frozen graph.
 
@@ -104,8 +117,7 @@ def _consolidate_worker_chunk(payload: tuple) -> list[tuple]:
     tombstone mask arrive as one shared-memory pack per consolidation pass.
     Returns ``((node, kept_ids) pairs, distance_call_delta)`` — per-chunk
     deltas sum order-independently, so the parent's aggregate counter
-    matches the in-process pass exactly.  Non-scalar kernels run the whole
-    chunk through the batched construction kernels (bit-identical repairs).
+    matches the in-process pass exactly.
     """
     from .batch_build import _BUILD_WORKER
 
@@ -113,38 +125,16 @@ def _consolidate_worker_chunk(payload: tuple) -> list[tuple]:
     arrays, segments = SharedArrayPack.attach(csr_specs)
     try:
         frozen = CSRGraph(arrays["indptr"], arrays["indices"], validate=False)
-        tombstone = arrays["tombstone"]
         computer = _BUILD_WORKER["computer"]
         mark = computer.checkpoint()
-        if resolve_backend(kernel) != "scalar":
-            from .build_kernels import prune_merged_many
-
-            cands = [_repair_candidates(frozen, tombstone, n) for n in nodes]
-            kepts = prune_merged_many(
-                computer, list(nodes), cands, max_degree, diversify,
-                params=params, backend=kernel,
-            )
-        else:
-            diversifier = get_diversifier(diversify, **params)
-            kepts = [
-                _repair_node(
-                    frozen, computer, tombstone, node, max_degree, diversifier
-                )
-                for node in nodes
-            ]
+        kepts = _repair(
+            frozen, computer, arrays["tombstone"], nodes, max_degree,
+            diversify, params, kernel,
+        )
         return list(zip(nodes, kepts)), computer.since(mark)
     finally:
         for segment in segments:
             segment.close()
-
-
-def _repair_node(graph, computer, tombstone, node, max_degree, diversifier):
-    """One node's repaired out-list (pure function of the frozen graph)."""
-    cand = _repair_candidates(graph, tombstone, node)
-    if cand.size == 0:
-        return cand
-    dists = computer.one_to_many(node, cand)
-    return diversifier(computer, cand, dists, max_degree)
 
 
 class StreamingIndex(BaseGraphIndex):
@@ -236,8 +226,7 @@ class StreamingIndex(BaseGraphIndex):
         self._alive_ids: np.ndarray | None = None
         self._mutation_seed = 0
         self._mutation_rank = 0
-        self._diversifier = get_diversifier(diversify, **self.diversify_params)
-        self._bare_diversifier = get_diversifier(diversify)
+        get_diversifier(diversify)  # an unknown name fails here, not mid-build
 
     # ------------------------------------------------------------------
     # growable dataset storage
@@ -459,8 +448,9 @@ class StreamingIndex(BaseGraphIndex):
         width = min(self.build_beam_width, max(8, alive.size))
         k = min(width, alive.size)
 
+        backend = resolve_backend(self.kernel)
         searches = self._frozen_point_searches(
-            new_ids.tolist(), seeds_per_node, k, width
+            new_ids.tolist(), seeds_per_node, k, width, backend
         )
         # masked searches pad to k with (PAD_ID, inf) when tombstones
         # empty the beam; a sentinel id must never reach the
@@ -469,63 +459,15 @@ class StreamingIndex(BaseGraphIndex):
         for cand_ids, cand_dists in searches:
             live = cand_ids >= 0
             cleaned.append((cand_ids[live], cand_dists[live]))
-
-        use_batched = resolve_backend(self.kernel) != "scalar"
-        if use_batched:
-            from .build_kernels import diversify_many, prune_merged_many
-
-            # the primary prunes depend only on the frozen searches, so the
-            # whole batch reduces to one lockstep kernel call; reverse-merge
-            # overflow prunes batch per insertion (rows pairwise distinct)
-            kept_per_node = diversify_many(
-                computer, cleaned, self.max_degree, self.diversify,
-                params=self.diversify_params, backend=self.kernel,
-            )
-            for node, kept in zip(new_ids.tolist(), kept_per_node):
-                self.graph.set_neighbors(node, kept)
-                overflow_owners: list[int] = []
-                overflow_merged: list[np.ndarray] = []
-                for nbr in kept:
-                    nbr = int(nbr)
-                    merged = np.concatenate([self.graph.neighbors(nbr), [node]])
-                    if merged.size > self.max_degree:
-                        overflow_owners.append(nbr)
-                        overflow_merged.append(merged)
-                    else:
-                        self.graph.set_neighbors(nbr, merged)
-                if overflow_owners:
-                    pruned = prune_merged_many(
-                        computer, overflow_owners, overflow_merged,
-                        self.max_degree, self.diversify,
-                        params=self.diversify_params, stats=self.prune_stats,
-                        backend=self.kernel,
-                    )
-                    for nbr, kept_nbr in zip(overflow_owners, pruned):
-                        self.graph.set_neighbors(nbr, kept_nbr)
-        else:
-            # sequential rank-ordered merge (the batched builder's 2nd phase)
-            from .incremental import _prune_with_stats
-
-            for node, (cand_ids, cand_dists) in zip(new_ids.tolist(), cleaned):
-                kept = self._diversifier(
-                    computer, cand_ids, cand_dists, self.max_degree
-                )
-                self.graph.set_neighbors(node, kept)
-                for nbr in kept:
-                    nbr = int(nbr)
-                    merged = np.concatenate([self.graph.neighbors(nbr), [node]])
-                    if merged.size > self.max_degree:
-                        dists_nbr = computer.one_to_many(nbr, merged)
-                        merged = _prune_with_stats(
-                            self._diversifier, self._bare_diversifier,
-                            self.diversify_params, computer, merged, dists_nbr,
-                            self.max_degree, self.prune_stats,
-                        )
-                    self.graph.set_neighbors(nbr, merged)
+        insert_round(
+            self.graph, computer, new_ids.tolist(), cleaned, self.max_degree,
+            self.diversify, self.diversify_params, backend,
+            stats=self.prune_stats,
+        )
         self._on_mutation()
         return new_ids
 
-    def _frozen_point_searches(self, points, seeds_per_point, k, width):
+    def _frozen_point_searches(self, points, seeds_per_point, k, width, backend):
         """One round of point searches against the frozen current graph.
 
         In-process for small batches (or ``n_workers == 1``), otherwise
@@ -537,7 +479,7 @@ class StreamingIndex(BaseGraphIndex):
             try:
                 return _run_round_in_pool(
                     pool, self.graph, self.computer, points, seeds_per_point,
-                    k, width, self.n_workers, self.kernel,
+                    k, width, self.n_workers, backend,
                     exclude_mask=self._tombstone,
                 )
             finally:
@@ -546,9 +488,9 @@ class StreamingIndex(BaseGraphIndex):
                 data_pack.unlink()
         return [
             (r.ids, r.dists)
-            for r in _round_point_searches(
+            for r in batch_point_search(
                 self.graph, self.computer, points, seeds_per_point, k, width,
-                self.kernel, exclude_mask=self._tombstone,
+                backend=backend, exclude_mask=self._tombstone,
             )
         ]
 
@@ -638,29 +580,11 @@ class StreamingIndex(BaseGraphIndex):
                 delta_total += delta
             self.computer.count += delta_total
             return repairs
-        if resolve_backend(self.kernel) != "scalar":
-            from .build_kernels import prune_merged_many
-
-            cands = [
-                _repair_candidates(self.graph, self._tombstone, node)
-                for node in affected
-            ]
-            kepts = prune_merged_many(
-                self.computer, affected, cands, self.max_degree,
-                self.diversify, params=self.diversify_params,
-                backend=self.kernel,
-            )
-            return list(zip(affected, kepts))
-        return [
-            (
-                node,
-                _repair_node(
-                    self.graph, self.computer, self._tombstone, node,
-                    self.max_degree, self._diversifier,
-                ),
-            )
-            for node in affected
-        ]
+        kepts = _repair(
+            self.graph, self.computer, self._tombstone, affected,
+            self.max_degree, self.diversify, self.diversify_params, self.kernel,
+        )
+        return list(zip(affected, kepts))
 
     # ------------------------------------------------------------------
     # query path (tombstone-aware)
@@ -775,18 +699,7 @@ class StreamingIndex(BaseGraphIndex):
         state = super().__getstate__()
         for key in ("_buf32", "_buf64", "_buf_sq", "_tombstone", "_alive_ids"):
             state[key] = None
-        # parameter-bound diversifiers are local closures (unpicklable);
-        # workers rebuild them from (diversify, diversify_params)
-        state["_diversifier"] = None
-        state["_bare_diversifier"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._diversifier = get_diversifier(
-            self.diversify, **self.diversify_params
-        )
-        self._bare_diversifier = get_diversifier(self.diversify)
 
     def memory_bytes(self) -> int:
         graph_bytes = super().memory_bytes()

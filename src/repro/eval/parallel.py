@@ -243,7 +243,7 @@ def run_batch(
 
     ``n_workers=1`` answers in-process (the paper's sequential protocol);
     ``n_workers>1`` shards the batch over a process pool.  ``kernel``
-    selects the beam backend (``None`` = ``$REPRO_KERNEL`` = ``auto``):
+    selects the beam backend (``None`` = ``$REPRO_KERNEL``, else ``python``):
     batched kernels answer each worker's chunk as one vectorized
     multi-query traversal, ``"scalar"`` keeps the per-query reference loop.
     Either way the outcomes come back ordered by query index and are

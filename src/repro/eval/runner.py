@@ -124,8 +124,8 @@ def run_workload(
 
     ``n_workers=1`` (the default) keeps the paper's sequential protocol;
     larger values shard the batch across worker processes.  ``kernel``
-    selects the beam backend (``scalar`` / ``python`` / ``numba`` / ``auto``;
-    ``None`` defers to ``$REPRO_KERNEL``).  Recall and the aggregate
+    selects the beam backend (``python`` / ``scalar``; ``None`` defers to
+    ``$REPRO_KERNEL``).  Recall and the aggregate
     distance-calculation count are identical for every worker count and
     kernel backend (see :mod:`repro.eval.parallel`).
     """

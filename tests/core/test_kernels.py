@@ -9,8 +9,6 @@ duplicate adjacency entries, disconnected nodes).
 """
 
 import os
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,11 +26,10 @@ from repro.core.kernels import (
     _merge_row,
     batch_point_search,
     batch_search,
-    have_numba,
     resolve_backend,
 )
 
-BACKENDS = ["python"] + (["numba"] if have_numba() else [])
+BACKENDS = ["python"]
 
 
 def _random_world(seed, n=400, d=8, duplicates=True):
@@ -95,7 +92,7 @@ def _assert_identical(ref, got):
 # backend resolution
 # ----------------------------------------------------------------------
 def test_backend_names_exposed():
-    assert set(KERNEL_BACKENDS) == {"auto", "python", "numba", "scalar"}
+    assert set(KERNEL_BACKENDS) == {"python", "scalar"}
 
 
 def test_resolve_rejects_unknown():
@@ -110,27 +107,25 @@ def test_resolve_explicit_passthrough():
 
 
 def test_resolve_auto():
-    assert resolve_backend("auto") == ("numba" if have_numba() else "python")
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        resolve_backend("auto")
 
 
 def test_resolve_reads_environment(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "scalar")
     assert resolve_backend(None) == "scalar"
+    monkeypatch.setenv("REPRO_KERNEL", "")
+    assert resolve_backend(None) == "python"
     monkeypatch.delenv("REPRO_KERNEL")
-    assert resolve_backend(None) in ("python", "numba")
+    assert resolve_backend(None) == "python"
 
 
-@pytest.mark.skipif(have_numba(), reason="needs an environment without numba")
-def test_numba_request_falls_back_with_warning():
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        assert resolve_backend("numba") == "python"
-
-
-@pytest.mark.skipif(not have_numba(), reason="numba not installed")
-def test_numba_request_resolves_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_backend("numba") == "numba"
+def test_resolve_rejects_numba(monkeypatch):
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        resolve_backend("numba")
+    monkeypatch.setenv("REPRO_KERNEL", "numba")
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        resolve_backend(None)
 
 
 # ----------------------------------------------------------------------
