@@ -35,6 +35,15 @@ without touching the index itself, with three strategies behind one API:
     labels, and seed), then the inline strategy runs over the augmented
     graph.
 
+No strategy owns a search loop: each hands the wrapped index's one answer
+path (:meth:`~repro.indexes.base.BaseGraphIndex._answer`) its predicate
+rows — as exclude masks, as an ACORN policy, or with the RWalks graph —
+and that path ORs them with the index's own mask.  Over a
+:class:`~repro.core.streaming.StreamingIndex` the predicates and the
+tombstones therefore compose: filtered search under churn never returns a
+deleted id.  Inserts do not extend the attributes; a wrapped index that
+has grown past them raises ``ValueError`` at every entry point.
+
 Determinism: every strategy draws its per-query randomness through the
 wrapped index's ``seed_query_rng`` protocol and measures distance calls as
 counter deltas, so answers, distance counts, and hop counts are
@@ -47,9 +56,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beam_search import SearchResult, beam_search, pad_top_k, prepare_seeds
+from .beam_search import SearchResult, pad_top_k, prepare_seeds
 from .graph import CSRGraph, Graph
 from .heap import NeighborQueue
+from .kernels import AcornExpansion, resolve_backend
 
 __all__ = [
     "FILTER_STRATEGIES",
@@ -278,6 +288,15 @@ def _csr_to_graph(csr) -> Graph:
 # ----------------------------------------------------------------------
 # the index-agnostic wrapper
 # ----------------------------------------------------------------------
+def _check_cover(attrs, inner) -> None:
+    """Attributes must label every point the index can answer with."""
+    if attrs.n != inner.computer.n:
+        raise ValueError(
+            f"attributes cover {attrs.n} points but the index holds "
+            f"{inner.computer.n}"
+        )
+
+
 class FilteredIndex:
     """Predicate-filtered search over a built graph index.
 
@@ -293,6 +312,12 @@ class FilteredIndex:
     query index the engine passes to :meth:`seed_query_rng`, which is how
     the scalar per-query path (whose ``search`` never sees an index)
     selects the right filter at any worker count.
+
+    Every strategy answers through the wrapped index's standard Algorithm-1
+    path (its ``_query_seeds``, then the beam kernel), so method-specific
+    search overrides do not apply under a filter: LSHAPG's probabilistic
+    routing is skipped, and ELPIS, which has no single-graph seed strategy,
+    raises ``NotImplementedError``.
     """
 
     name = "filtered"
@@ -315,18 +340,13 @@ class FilteredIndex:
             )
         if inner.computer is None or inner.graph is None:
             raise RuntimeError("wrap a *built* graph index")
-        if attrs.n != inner.computer.n:
-            raise ValueError(
-                f"attributes cover {attrs.n} points but the index holds "
-                f"{inner.computer.n}"
-            )
+        _check_cover(attrs, inner)
         self.inner = inner
         self.attrs = attrs
         self.predicates = list(predicates)
         self.strategy = strategy
         self.expansion = expansion
         self._current_query = 0
-        self._visited_scratch: np.ndarray | None = None
         # one exclude row per workload query: True = fails the predicate
         self._exclude = np.stack(
             [~p.mask(attrs) for p in self.predicates]
@@ -378,30 +398,17 @@ class FilteredIndex:
             self._aug_csr = CSRGraph(
                 arrays["aug_indptr"], arrays["aug_indices"], validate=False
             )
-        self._visited_scratch = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_exclude"] = None
         state["_aug_csr"] = None
-        state["_visited_scratch"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    # -- traversal -----------------------------------------------------
-    def _graph(self):
-        """The graph this strategy traverses (augmented for rwalks)."""
-        if self.strategy == "rwalks":
-            return self._aug_csr
-        return self.inner.graph
-
-    def _scratch(self, n: int) -> np.ndarray:
-        if self._visited_scratch is None or self._visited_scratch.size != n:
-            self._visited_scratch = np.zeros(n, dtype=bool)
-        return self._visited_scratch
-
+    # -- answering -----------------------------------------------------
     def search(
         self, query: np.ndarray, k: int = 10, beam_width: int | None = None
     ) -> SearchResult:
@@ -410,29 +417,9 @@ class FilteredIndex:
         Call :meth:`seed_query_rng` first (the batch engine always does);
         it selects both the per-query randomness and the predicate.
         """
-        exclude = self._exclude[self._current_query]
-        if self.strategy == "inline":
-            return self.inner.search(
-                query, k=k, beam_width=beam_width, exclude_mask=exclude
-            )
-        computer = self.inner.computer
-        width = max(beam_width or max(self.inner.default_beam_width, k), k)
-        graph = self._graph()
-        mark = computer.checkpoint()
-        seeds = self.inner._query_seeds(query)
-        if self.strategy == "acorn":
-            result = acorn_beam_search(
-                graph, computer, query, seeds, k, width,
-                allow_mask=~exclude, expansion=self.expansion,
-                visited_mask=self._scratch(graph.n),
-            )
-        else:  # rwalks: inline filtering over the augmented graph
-            result = beam_search(
-                graph, computer, query, seeds, k=k, beam_width=width,
-                visited_mask=self._scratch(graph.n), exclude_mask=exclude,
-            )
-        result.distance_calls = computer.since(mark)
-        return result
+        return self._answer(
+            query, k, beam_width, None, [self._current_query], "scalar"
+        )[0]
 
     def search_batch(
         self,
@@ -444,55 +431,36 @@ class FilteredIndex:
     ) -> list[SearchResult]:
         """Batched filtered search, bit-identical to per-query :meth:`search`.
 
-        Every strategy routes through the vectorized multi-query kernel
-        (``scalar`` falls back to the per-query reference loop): ``inline``
-        and ``rwalks`` with per-query exclude masks on the finished beams,
-        ``acorn`` with the same exclude rows as the kernel's admit/expand
-        policy, so a batch advances in lockstep with one segmented distance
-        call per step.
+        One call into the wrapped index's answer path: ``inline`` and
+        ``rwalks`` pass the queries' predicate rows as exclude masks on the
+        finished beams, ``acorn`` passes the same rows as the kernel's
+        admit/expand policy, so a batch advances in lockstep with one
+        segmented distance call per step (``scalar`` runs the per-query
+        reference loops).
         """
-        from .kernels import AcornExpansion, batch_search, resolve_backend
-
         queries = np.atleast_2d(np.asarray(queries))
-        n_queries = queries.shape[0]
         indices = (
-            np.arange(n_queries, dtype=np.int64)
+            np.arange(queries.shape[0], dtype=np.int64)
             if query_indices is None
             else np.asarray(query_indices, dtype=np.int64)
         )
-        backend = resolve_backend(kernel)
-        if backend == "scalar":
-            results = []
-            for j in range(n_queries):
-                self.seed_query_rng(int(indices[j]))
-                results.append(self.search(queries[j], k=k, beam_width=beam_width))
-            return results
-
-        computer = self.inner.computer
-        width = max(beam_width or max(self.inner.default_beam_width, k), k)
-        graph = (
-            self._aug_csr if self.strategy == "rwalks"
-            else self.inner._kernel_graph()
-        )
-        seeds_per_query = []
-        seed_calls = []
-        for j in range(n_queries):
-            self.seed_query_rng(int(indices[j]))
-            mark = computer.checkpoint()
-            seeds_per_query.append(self.inner._query_seeds(queries[j]))
-            seed_calls.append(computer.since(mark))
         rows = indices % max(len(self.predicates), 1)
-        acorn = self.strategy == "acorn"
-        results = batch_search(
-            graph, computer, queries, seeds_per_query,
-            k=k, beam_width=width, backend=backend,
-            exclude_mask=None if acorn else [self._exclude[row] for row in rows],
-            acorn=AcornExpansion(self._exclude, rows, self.expansion)
-            if acorn else None,
+        return self._answer(
+            queries, k, beam_width, indices, rows, resolve_backend(kernel)
         )
-        for result, calls in zip(results, seed_calls):
-            result.distance_calls += calls
-        return results
+
+    def _answer(self, queries, k, beam_width, query_indices, rows, backend):
+        """Route through the inner index's one answer path under ``rows``."""
+        _check_cover(self.attrs, self.inner)
+        if self.strategy == "acorn":
+            return self.inner._answer(
+                queries, k, beam_width, query_indices, backend,
+                acorn=AcornExpansion(self._exclude, rows, self.expansion),
+            )
+        return self.inner._answer(
+            queries, k, beam_width, query_indices, backend,
+            exclude=[self._exclude[row] for row in rows], graph=self._aug_csr,
+        )
 
     def memory_bytes(self) -> int:
         """Wrapped index bytes plus the filter layer's own structures."""

@@ -6,9 +6,11 @@ way FreshDiskANN does:
 
 * ``delete(ids)`` only *tombstones* nodes.  A tombstoned node keeps routing —
   beam search traverses it exactly as before (hops and distance calls are
-  unchanged), it just never appears in an answer (the finished beam is
-  filtered through the ``exclude_mask`` wired into
-  :func:`~repro.core.beam_search.beam_search` and the vectorized kernel).
+  unchanged), it just never appears in an answer: the index's only query
+  hook besides its seeds is ``_own_exclude``, which hands the tombstones to
+  :meth:`~repro.indexes.base.BaseGraphIndex._answer`, the one answer path,
+  where they are ORed into any filter a caller passes (``search``'s
+  ``exclude_mask``, the filtered-search layer's predicates).
   Deleting is therefore O(batch) and recall degrades only gradually as dead
   nodes crowd the beam.
 
@@ -50,7 +52,6 @@ import numpy as np
 
 from ..indexes.base import BaseGraphIndex, BuildReport
 from .batch_build import _run_round_in_pool, _start_pool, build_ii_graph_batched
-from .beam_search import SearchResult, beam_search
 from .build_kernels import prune_merged_many
 from .distances import DistanceComputer
 from .diversification import PruneCounter, get_diversifier
@@ -332,7 +333,6 @@ class StreamingIndex(BaseGraphIndex):
     def _on_mutation(self) -> None:
         self.version += 1
         self._csr_cache = None
-        self._visited_scratch = None
         self._alive_ids = np.flatnonzero(~self._tombstone)
 
     def _require_streaming(self) -> DistanceComputer:
@@ -595,71 +595,9 @@ class StreamingIndex(BaseGraphIndex):
         picks = self._query_rng.choice(alive.size, size=size, replace=False)
         return alive[picks]
 
-    def search(
-        self, query: np.ndarray, k: int = 10, beam_width: int | None = None
-    ) -> SearchResult:
-        """Algorithm 1 with tombstones excluded from the answer set."""
-        computer = self._require_streaming()
-        width = max(beam_width or max(self.default_beam_width, k), k)
-        mark = computer.checkpoint()
-        seeds = self._query_seeds(query)
-        if self._visited_scratch is None or self._visited_scratch.size != self.graph.n:
-            self._visited_scratch = np.zeros(self.graph.n, dtype=bool)
-        result = beam_search(
-            self.graph,
-            computer,
-            query,
-            seeds,
-            k=k,
-            beam_width=width,
-            visited_mask=self._visited_scratch,
-            exclude_mask=self._tombstone,
-        )
-        result.distance_calls = computer.since(mark)
-        return result
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        beam_width: int | None = None,
-        query_indices=None,
-        kernel: str | None = None,
-    ) -> list[SearchResult]:
-        """Batched tombstone-aware queries via the multi-query kernel.
-
-        Mirrors :meth:`BaseGraphIndex.search_batch` (which would fall back
-        to the scalar loop for any subclass overriding :meth:`search`) with
-        the tombstone mask threaded through — bit-identical to per-query
-        :meth:`search` at any batch size, backend, and worker count.
-        """
-        from .kernels import batch_search, resolve_backend
-
-        backend = resolve_backend(kernel)
-        if backend == "scalar":
-            return super(BaseGraphIndex, self).search_batch(
-                queries, k=k, beam_width=beam_width, query_indices=query_indices
-            )
-        computer = self._require_streaming()
-        queries = np.atleast_2d(np.asarray(queries))
-        width = max(beam_width or max(self.default_beam_width, k), k)
-        graph = self._kernel_graph()
-        seeds_per_query = []
-        seed_calls = []
-        for j in range(queries.shape[0]):
-            if query_indices is not None:
-                self.seed_query_rng(int(query_indices[j]))
-            mark = computer.checkpoint()
-            seeds_per_query.append(self._query_seeds(queries[j]))
-            seed_calls.append(computer.since(mark))
-        results = batch_search(
-            graph, computer, queries, seeds_per_query,
-            k=k, beam_width=width, backend=backend,
-            exclude_mask=self._tombstone,
-        )
-        for result, calls in zip(results, seed_calls):
-            result.distance_calls += calls
-        return results
+    def _own_exclude(self) -> np.ndarray:
+        """Tombstones: traversed by every query, returned by none."""
+        return self._tombstone
 
     # ------------------------------------------------------------------
     # ground truth over the live set

@@ -12,6 +12,17 @@ Every reproduced method exposes the same surface:
 
 Graph-backed methods subclass :class:`BaseGraphIndex`, which provides the
 standard beam-search query path (Algorithm 1) on top of per-method seeds.
+That path is written once, in :meth:`BaseGraphIndex._answer`: per-query
+seeds from the method's SS strategy, then ONE call into the beam kernel
+(:func:`~repro.core.kernels.batch_search`, or
+:func:`~repro.core.kernels.batch_search_pq` on the disk tier), whose
+``scalar`` backend is the per-query reference loop.  ``search``,
+``search_batch``, the streaming tier and the filtered-search layer all
+answer through it.  Layers change *which* nodes may answer, never the
+loop: an index contributes its own mask through
+:meth:`BaseGraphIndex._own_exclude` (the streaming tier's tombstones) and
+a caller passes per-query exclude masks or an ACORN policy; the two are
+ORed, so filters and tombstones compose.
 """
 
 from __future__ import annotations
@@ -22,9 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.beam_search import SearchResult, beam_search, pq_beam_search
+from ..core.beam_search import SearchResult, normalize_exclude_masks
 from ..core.distances import DistanceComputer
 from ..core.graph import CSRGraph, Graph
+from ..core.kernels import (
+    AcornExpansion,
+    batch_search,
+    batch_search_pq,
+    resolve_backend,
+)
 
 __all__ = ["BuildReport", "BaseIndex", "BaseGraphIndex", "load_disk_index"]
 
@@ -176,7 +193,6 @@ class BaseGraphIndex(BaseIndex):
             raise ValueError("default_beam_width must be >= 1")
         self.graph: Graph | None = None
         self.default_beam_width = default_beam_width
-        self._visited_scratch: np.ndarray | None = None
         # (source graph, CSRGraph flattening) for the batch kernel; keyed by
         # identity so a rebuild invalidates it
         self._csr_cache: tuple | None = None
@@ -187,8 +203,6 @@ class BaseGraphIndex(BaseIndex):
 
     def build(self, data: np.ndarray) -> "BaseGraphIndex":
         """Construct the index; the build backend is resolved here, once."""
-        from ..core.kernels import resolve_backend
-
         #: what ``kernel`` resolved to for this build; every backend builds
         #: the same graph with the same distance-call total
         self.build_backend = resolve_backend(self.kernel)
@@ -197,6 +211,82 @@ class BaseGraphIndex(BaseIndex):
     @abc.abstractmethod
     def _query_seeds(self, query: np.ndarray) -> np.ndarray:
         """Seed node ids for one query (method-specific SS strategy)."""
+
+    def _own_exclude(self) -> np.ndarray | None:
+        """Nodes this index never returns (``None``: every node may answer).
+
+        The streaming tier returns its tombstones; :meth:`_answer` ORs the
+        mask into whatever filter the caller passes.
+        """
+        return None
+
+    def _answer(
+        self,
+        queries: np.ndarray,
+        k: int,
+        beam_width: int | None,
+        query_indices,
+        backend: str,
+        exclude=None,
+        acorn=None,
+        graph=None,
+    ) -> list[SearchResult]:
+        """The one answer path of Algorithm 1: seeds, then one kernel call.
+
+        Per query, ``query_indices[j]`` (if given) reseeds the RNG and the
+        method's SS strategy picks the seeds; their distance work is
+        charged to that query.  The index's own mask (:meth:`_own_exclude`)
+        is ORed into the caller's filter — per-query ``exclude`` masks
+        (traversed, never returned) or an
+        :class:`~repro.core.kernels.AcornExpansion` policy (never scored)
+        — and the whole batch is ONE :func:`~repro.core.kernels.batch_search`
+        (:func:`~repro.core.kernels.batch_search_pq` on the disk tier, which
+        takes no filter).  ``scalar`` runs the per-query reference loops
+        over ``self.graph``; the kernel backends traverse
+        :meth:`_kernel_graph`.  ``graph`` overrides both (the RWalks
+        augmented CSR).
+        """
+        computer = self._require_built()
+        if self.graph is None:
+            raise RuntimeError(f"{self.name}: graph missing; build() first")
+        disk = self._disk_tier is not None
+        if disk and (exclude is not None or acorn is not None):
+            raise NotImplementedError("filters are not supported on the disk tier")
+        queries = np.atleast_2d(np.asarray(queries))
+        width = max(beam_width or max(self.default_beam_width, k), k)
+        seeds_per_query, seed_calls = [], []
+        for j, query in enumerate(queries):
+            if query_indices is not None:
+                self.seed_query_rng(int(query_indices[j]))
+            before = computer.count
+            seeds_per_query.append(self._query_seeds(query))
+            seed_calls.append(computer.count - before)
+        if disk:
+            results = batch_search_pq(
+                self.graph, computer, queries, seeds_per_query,
+                k=k, beam_width=width, backend=backend,
+            )
+        else:
+            own = self._own_exclude()
+            if own is not None and acorn is not None:
+                # only the rows this batch filters by, each ORed once
+                rows, lanes = np.unique(acorn.rows, return_inverse=True)
+                acorn = AcornExpansion(
+                    acorn.exclude[rows] | own, lanes, acorn.expansion
+                )
+            elif own is not None:
+                masks = normalize_exclude_masks(exclude, len(queries), own.size)
+                exclude = own if masks is None else [m | own for m in masks]
+            if graph is None:
+                graph = self.graph if backend == "scalar" else self._kernel_graph()
+            results = batch_search(
+                graph, computer, queries, seeds_per_query,
+                k=k, beam_width=width, backend=backend,
+                exclude_mask=exclude, acorn=acorn,
+            )
+        for result, calls in zip(results, seed_calls):
+            result.distance_calls += calls
+        return results
 
     def search(
         self,
@@ -208,60 +298,15 @@ class BaseGraphIndex(BaseIndex):
         """Algorithm 1 on the method's graph, seeded by its SS strategy.
 
         ``exclude_mask`` flags nodes filtered from the answers (traversed,
-        never returned — see :func:`~repro.core.beam_search.beam_search`);
-        the filtered-search tier passes per-query predicate masks here.
-        Masked answers are padded to exactly ``k`` slots with
-        ``(PAD_ID, inf)`` on shortfall.
+        never returned — see :func:`~repro.core.beam_search.beam_search`),
+        ORed with the index's own mask; masked answers are padded to
+        exactly ``k`` slots with ``(PAD_ID, inf)`` on shortfall.  On the
+        disk tier the traversal is PQ-guided with one exact re-rank
+        (:func:`~repro.core.beam_search.pq_beam_search`).
         """
-        if self._disk_tier is not None:
-            return self._search_disk(query, k, beam_width)
-        computer = self._require_built()
-        if self.graph is None:
-            raise RuntimeError(f"{self.name}: graph missing; build() first")
-        width = beam_width or max(self.default_beam_width, k)
-        width = max(width, k)
-        mark = computer.checkpoint()
-        seeds = self._query_seeds(query)
-        if self._visited_scratch is None or self._visited_scratch.size != self.graph.n:
-            self._visited_scratch = np.zeros(self.graph.n, dtype=bool)
-        result = beam_search(
-            self.graph,
-            computer,
-            query,
-            seeds,
-            k=k,
-            beam_width=width,
-            visited_mask=self._visited_scratch,
-            exclude_mask=exclude_mask,
-        )
-        # charge seed-selection distance work to the query
-        result.distance_calls = computer.since(mark)
-        return result
-
-    def _search_disk(
-        self, query: np.ndarray, k: int, beam_width: int | None
-    ) -> SearchResult:
-        """Disk-tier scalar path: PQ-guided traversal + one exact re-rank.
-
-        Seed selection runs unchanged (disk-capable methods draw seeds from
-        RNG state and pickled entry points only — no raw-vector reads), then
-        :func:`~repro.core.beam_search.pq_beam_search` traverses with ADC
-        estimates against the resident codes and re-ranks the final beam
-        from the memory-mapped raw vectors.
-        """
-        width = max(beam_width or max(self.default_beam_width, k), k)
-        seeds = self._query_seeds(query)
-        if self._visited_scratch is None or self._visited_scratch.size != self.graph.n:
-            self._visited_scratch = np.zeros(self.graph.n, dtype=bool)
-        return pq_beam_search(
-            self.graph,
-            self.computer,
-            query,
-            seeds,
-            k=k,
-            beam_width=width,
-            visited_mask=self._visited_scratch,
-        )
+        return self._answer(
+            query, k, beam_width, None, "scalar", exclude=exclude_mask
+        )[0]
 
     def search_batch(
         self,
@@ -274,100 +319,28 @@ class BaseGraphIndex(BaseIndex):
     ) -> list[SearchResult]:
         """Batched Algorithm 1 via the vectorized multi-query beam kernel.
 
-        Seed selection stays per-query (it is method-specific and consumes
-        the per-query RNG); the beam traversal runs through
-        :func:`repro.core.kernels.batch_search`.  Per-query ids, distances,
-        hops, and distance-call totals are bit-identical to :meth:`search`.
-
-        Methods that override :meth:`search` (and thus answer outside the
-        standard beam path), and the ``scalar`` kernel backend, fall back to
-        the per-query reference loop.
-
-        ``exclude_mask`` accepts one shared mask or a per-query sequence
-        (see :func:`~repro.core.beam_search.normalize_exclude_masks`); the
-        scalar fallback threads each query's own mask through
-        :meth:`search`, keeping both paths bit-identical.  Not supported in
-        disk-tier mode.
+        Per-query ids, distances, hops, and distance-call totals are
+        bit-identical to :meth:`search` (``kernel="scalar"`` runs the
+        reference loop itself).  ``exclude_mask`` accepts one shared mask or
+        a per-query sequence (see
+        :func:`~repro.core.beam_search.normalize_exclude_masks`); it is not
+        supported on the disk tier.  Methods that override :meth:`search`
+        answer outside the standard beam path and fall back to the
+        per-query loop, without masks.
         """
-        from ..core.beam_search import normalize_exclude_masks
-        from ..core.kernels import batch_search, batch_search_pq, resolve_backend
-
-        backend = resolve_backend(kernel)
-        if self._disk_tier is not None:
+        if type(self).search is not BaseGraphIndex.search:
             if exclude_mask is not None:
-                raise NotImplementedError(
-                    "exclude_mask is not supported on the disk tier"
-                )
-            if backend == "scalar":
-                # per-query reference loop; search() routes to the disk path
-                return BaseIndex.search_batch(
-                    self, queries, k=k, beam_width=beam_width,
-                    query_indices=query_indices,
-                )
-            queries = np.atleast_2d(np.asarray(queries))
-            width = max(beam_width or max(self.default_beam_width, k), k)
-            seeds_per_query = []
-            for j in range(queries.shape[0]):
-                if query_indices is not None:
-                    self.seed_query_rng(int(query_indices[j]))
-                # disk-capable seed selection costs no distance work
-                seeds_per_query.append(self._query_seeds(queries[j]))
-            return batch_search_pq(
-                self.graph, self.computer, queries, seeds_per_query,
-                k=k, beam_width=width, backend=backend,
-            )
-        if backend == "scalar" or type(self).search is not BaseGraphIndex.search:
-            if exclude_mask is None:
-                return super().search_batch(
-                    queries, k=k, beam_width=beam_width,
-                    query_indices=query_indices,
-                )
-            if type(self).search is not BaseGraphIndex.search:
                 raise NotImplementedError(
                     f"{self.name} overrides search() and cannot accept "
                     f"per-query exclude masks"
                 )
-            # scalar reference loop, threading each query's own mask
-            queries_2d = np.atleast_2d(np.asarray(queries))
-            masks = normalize_exclude_masks(
-                exclude_mask, queries_2d.shape[0], self.graph.n
+            return super().search_batch(
+                queries, k=k, beam_width=beam_width, query_indices=query_indices
             )
-            results = []
-            for j in range(queries_2d.shape[0]):
-                if query_indices is not None:
-                    self.seed_query_rng(int(query_indices[j]))
-                results.append(
-                    self.search(
-                        queries_2d[j], k=k, beam_width=beam_width,
-                        exclude_mask=None if masks is None else masks[j],
-                    )
-                )
-            return results
-        computer = self._require_built()
-        if self.graph is None:
-            raise RuntimeError(f"{self.name}: graph missing; build() first")
-        queries = np.atleast_2d(np.asarray(queries))
-        width = beam_width or max(self.default_beam_width, k)
-        width = max(width, k)
-        graph = self._kernel_graph()
-        seeds_per_query = []
-        seed_calls = []
-        for j in range(queries.shape[0]):
-            if query_indices is not None:
-                self.seed_query_rng(int(query_indices[j]))
-            mark = computer.checkpoint()
-            seeds_per_query.append(self._query_seeds(queries[j]))
-            seed_calls.append(computer.since(mark))
-        results = batch_search(
-            graph, computer, queries, seeds_per_query,
-            k=k, beam_width=width, backend=backend,
-            exclude_mask=exclude_mask,
+        return self._answer(
+            queries, k, beam_width, query_indices, resolve_backend(kernel),
+            exclude=exclude_mask,
         )
-        # charge each query's seed-selection distance work to that query,
-        # matching the scalar search()'s checkpoint placement
-        for result, calls in zip(results, seed_calls):
-            result.distance_calls += calls
-        return results
 
     def _kernel_graph(self):
         """The graph in the layout the batch kernel traverses fastest.
@@ -452,7 +425,6 @@ class BaseGraphIndex(BaseIndex):
         self._disk_tier_dir = str(tier.directory)
         self.computer = tier.computer
         self.graph = tier.graph
-        self._visited_scratch = None
         self._csr_cache = None
 
     def shared_query_state(self) -> dict[str, np.ndarray]:
@@ -493,11 +465,10 @@ class BaseGraphIndex(BaseIndex):
             self.graph = CSRGraph(
                 arrays["csr_indptr"], arrays["csr_indices"], validate=False
             )
-        self._visited_scratch = None
         self._csr_cache = None
 
     def __getstate__(self) -> dict:
-        """Pickle without graph/scratch; workers re-attach the CSR view.
+        """Pickle without the graph; workers re-attach the CSR view.
 
         ``_disk_tier_dir`` survives pickling (it is how a worker finds the
         tier again); the opened tier itself — mmap handles and resident
@@ -505,7 +476,6 @@ class BaseGraphIndex(BaseIndex):
         """
         state = super().__getstate__()
         state["graph"] = None
-        state["_visited_scratch"] = None
         state["_csr_cache"] = None
         state["_disk_tier"] = None
         return state

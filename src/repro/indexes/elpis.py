@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.beam_search import SearchResult, beam_search
-from ..core.diversification import rnd
 from ..core.graph import Graph
 from ..core.heap import BoundedMaxHeap
+from ..core.refine import insert_round
 from ..trees.hercules import HerculesLeaf, HerculesTree
 from .base import BaseGraphIndex
 
@@ -105,15 +105,10 @@ class ELPISIndex(BaseGraphIndex):
                 beam_width=width,
                 visited_mask=visited_mask,
             )
-            kept = rnd(computer, result.ids, result.dists, self.max_degree)
-            graph.set_neighbors(node, kept)
-            for nbr in kept:
-                nbr = int(nbr)
-                merged = np.concatenate([graph.neighbors(nbr), [node]])
-                if merged.size > self.max_degree:
-                    dists = computer.one_to_many(nbr, merged)
-                    merged = rnd(computer, merged, dists, self.max_degree)
-                graph.set_neighbors(nbr, merged)
+            insert_round(
+                graph, computer, [node], [(result.ids, result.dists)],
+                self.max_degree, "rnd", None, self.build_backend,
+            )
             inserted.append(node)
         return int(order[0])
 

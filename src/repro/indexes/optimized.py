@@ -107,7 +107,6 @@ class OptimizedIndex(BaseIndex):
         # computer (one distance counter) and a CSR view of the same graph
         self.base.computer = self.computer
         self.base.graph = CSRGraph(self.indptr, self.indices, validate=False)
-        self.base._visited_scratch = None
 
     def __getstate__(self) -> dict:
         """Pickle without the CSR arrays; workers re-attach them shared."""

@@ -10,12 +10,20 @@ The load-bearing contracts:
 * answers, distance counts, and hop counts are bit-identical across
   kernel backends and worker counts;
 * filtered ground truth is deterministic across processes (PR 5
-  CRC-seeding discipline).
+  CRC-seeding discipline);
+* the layer composes with the streaming tier: predicate masks and
+  tombstones OR together, so no strategy returns a deleted id;
+* every strategy answers through the wrapped index's standard Algorithm-1
+  path, whatever search override the method carries.
+
+``kernel=None`` follows ``$REPRO_KERNEL``; CI's filtered-smoke matrix runs
+this module once per backend.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.beam_search import beam_search
 from repro.core.distances import DistanceComputer
 from repro.core.filtered import (
     FILTER_STRATEGIES,
@@ -25,6 +33,7 @@ from repro.core.filtered import (
 )
 from repro.core.graph import Graph
 from repro.core.kernels import AcornExpansion, batch_search
+from repro.core.streaming import StreamingIndex
 from repro.datasets.attributes import point_attributes, query_predicates
 from repro.datasets.synthetic import generate
 from repro.eval.metrics import filtered_ground_truth, recall
@@ -255,6 +264,140 @@ def test_rwalks_augment_validation(world):
         rwalks_augment(inner.graph, attrs.labels, extra_degree=-1)
     with pytest.raises(ValueError, match="labels"):
         rwalks_augment(inner.graph, attrs.labels[:-1])
+
+
+def _same_answers(a, b):
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.dists, b.dists)
+    assert a.hops == b.hops
+    assert a.distance_calls == b.distance_calls
+
+
+@pytest.fixture(scope="module")
+def churned(world):
+    """A streaming index over the world's points with every other id deleted."""
+    data, _, attrs, _ = world
+    stream = StreamingIndex(seed=1).build(data)
+    stream.delete(np.arange(0, N, 2))
+    return stream, generate("sift", 20, seed=11), attrs
+
+
+@pytest.mark.parametrize("strategy", FILTER_STRATEGIES)
+def test_filters_compose_with_tombstones(churned, strategy):
+    """Regression: each strategy owned its own loop and dropped the streaming
+    index's tombstones, so half the answers were deleted ids."""
+    stream, queries, attrs = churned
+    preds = query_predicates("sift", len(queries), 0.5, seed=2)
+    fi = FilteredIndex(stream, attrs, preds, strategy=strategy)
+    legs = [
+        fi.search_batch(queries, k=K, beam_width=WIDTH, kernel=kernel)
+        for kernel in (None, "python", "scalar")
+    ]
+    single = []
+    for j, query in enumerate(queries):
+        fi.seed_query_rng(j)
+        single.append(fi.search(query, k=K, beam_width=WIDTH))
+    legs.append(single)
+    for workers in (1, 2):
+        run = run_batch(fi, queries, k=K, beam_width=WIDTH, n_workers=workers)
+        legs.append(run.outcomes)
+    answered = 0
+    for j, result in enumerate(legs[0]):
+        valid = result.ids[result.ids >= 0]
+        answered += valid.size
+        assert not stream._tombstone[valid].any(), f"{strategy}: tombstone at query {j}"
+        assert preds[j].mask(attrs)[valid].all()
+    assert answered > K * len(queries) // 2
+    for leg in legs[1:]:
+        for a, b in zip(legs[0], leg):
+            _same_answers(a, b)
+
+
+def test_streaming_search_ors_exclude_mask_with_tombstones(churned):
+    stream, queries, _ = churned
+    exclude = np.zeros(N, dtype=bool)
+    exclude[1::4] = True
+    both = exclude | stream._tombstone
+    for j, query in enumerate(queries[:5]):
+        stream.seed_query_rng(j)
+        result = stream.search(query, k=K, beam_width=WIDTH, exclude_mask=exclude)
+        stream.seed_query_rng(j)
+        seeds = stream._query_seeds(query)
+        expected = beam_search(
+            stream.graph, stream.computer, query, seeds, k=K, beam_width=WIDTH,
+            exclude_mask=both,
+        )
+        _same_answers(result, expected)
+        assert not both[result.ids[result.ids >= 0]].any()
+
+
+@pytest.fixture(scope="module")
+def grown(world):
+    """Filtered wrappers whose streaming index grew past the attributes."""
+    data, queries, attrs, _ = world
+    stream = StreamingIndex(seed=1).build(data)
+    preds = query_predicates("sift", N_QUERIES, 0.5, seed=2)
+    wrapped = {
+        strategy: FilteredIndex(stream, attrs, preds, strategy=strategy)
+        for strategy in FILTER_STRATEGIES
+    }
+    stream.insert(queries[:3])
+    return wrapped, queries
+
+
+@pytest.mark.parametrize("strategy", FILTER_STRATEGIES)
+@pytest.mark.parametrize(
+    "entry, kernel",
+    [("search", None)]
+    + [(entry, kernel) for entry in ("search_batch", "run_batch")
+       for kernel in ("python", "scalar")],
+)
+def test_grown_index_raises_one_clear_error(grown, strategy, entry, kernel):
+    wrapped, queries = grown
+    fi = wrapped[strategy]
+    message = f"attributes cover {N} points but the index holds {N + 3}"
+    with pytest.raises(ValueError, match=message):
+        if entry == "search":
+            fi.seed_query_rng(0)
+            fi.search(queries[0], k=K, beam_width=WIDTH)
+        elif entry == "search_batch":
+            fi.search_batch(queries, k=K, beam_width=WIDTH, kernel=kernel)
+        else:
+            run_batch(fi, queries, k=K, beam_width=WIDTH, kernel=kernel)
+
+
+@pytest.fixture(scope="module")
+def lshapg(world):
+    data, _, _, _ = world
+    index = create_index("LSHAPG", seed=7).build(data)
+    assert index.probabilistic_routing
+    return index
+
+
+@pytest.mark.parametrize("strategy", FILTER_STRATEGIES)
+def test_search_overrides_do_not_apply_under_a_filter(world, lshapg, strategy):
+    """LSHAPG's probabilistic routing overrides search(); under a filter it
+    answers through the standard Algorithm-1 path at both backends."""
+    _, queries, attrs, _ = world
+    preds = query_predicates("sift", N_QUERIES, 0.3, seed=2)
+    fi = FilteredIndex(lshapg, attrs, preds, strategy=strategy)
+    runs = [
+        run_batch(fi, queries, k=K, beam_width=WIDTH, kernel=kernel).outcomes
+        for kernel in ("python", "scalar")
+    ]
+    for a, b in zip(*runs):
+        _same_answers(a, b)
+    assert all(o.ids[0] >= 0 for o in runs[0])
+
+
+@pytest.mark.parametrize("kernel", ["python", "scalar"])
+def test_filter_over_elpis_raises_the_same_error(world, kernel):
+    data, queries, attrs, _ = world
+    elpis = create_index("ELPIS", seed=7).build(data)
+    preds = query_predicates("sift", N_QUERIES, 0.3, seed=2)
+    fi = FilteredIndex(elpis, attrs, preds, strategy="inline")
+    with pytest.raises(NotImplementedError, match="ELPIS"):
+        fi.search_batch(queries, k=K, beam_width=WIDTH, kernel=kernel)
 
 
 def test_filtered_ground_truth_contract(world):

@@ -1,11 +1,13 @@
-"""The refinement builders (Vamana, NSG, SSG) against their per-node loops.
+"""The graph builders that write through ``repro.core.refine``, against
+their per-node loops.
 
-The three builders run frozen rounds through ``repro.core.refine``.  The
-reference models below are literal transcriptions of the per-node loops
-they replaced — one ``beam_search`` and one scalar prune per node — and
-live here, not in ``src/``.  NSG and SSG refine a fixed base, so they must
-equal their reference bit for bit; Vamana must equal its reference at
-round size 1 and stay inside a quality band at the default round size.
+Vamana, NSG and SSG run frozen rounds (``refine_round``); ELPIS links each
+leaf node with an ``insert_round`` of one.  The reference models below are
+literal transcriptions of the per-node loops they replaced — one
+``beam_search`` and one scalar prune per node — and live here, not in
+``src/``.  NSG, SSG and ELPIS must equal their reference bit for bit;
+Vamana must equal its reference at round size 1 and stay inside a quality
+band at the default round size.
 
 ``kernel=None`` follows ``$REPRO_KERNEL`` (``python`` in tier-1); CI's
 bench-smoke matrix runs this module once per backend.
@@ -21,7 +23,7 @@ from repro.core.seeds import find_medoid
 from repro.datasets.synthetic import generate
 from repro.eval.metrics import ground_truth
 from repro.eval.runner import run_workload
-from repro.indexes import NSGIndex, SSGIndex, VamanaIndex
+from repro.indexes import ELPISIndex, NSGIndex, SSGIndex, VamanaIndex
 from repro.indexes.efanna import EFANNAIndex
 
 KERNELS = [None, "scalar"]
@@ -148,6 +150,45 @@ class PerNodeSSG(SSGIndex):
         self.graph = graph
 
 
+class PerNodeELPIS(ELPISIndex):
+    """The leaf loop with its own RND forward prune and back-edge merges."""
+
+    def _build_leaf_graph(self, graph, leaf_ids, rng):
+        computer = self.computer
+        order = rng.permutation(leaf_ids)
+        inserted = []
+        visited_mask = np.zeros(computer.n, dtype=bool)
+        for node in order:
+            node = int(node)
+            if not inserted:
+                inserted.append(node)
+                continue
+            size = min(2, len(inserted))
+            picks = rng.choice(len(inserted), size=size, replace=False)
+            seeds = [inserted[int(p)] for p in picks]
+            width = min(self.ef_construction, max(8, len(inserted)))
+            result = beam_search(
+                graph,
+                computer,
+                computer.data[node],
+                seeds,
+                k=min(width, len(inserted)),
+                beam_width=width,
+                visited_mask=visited_mask,
+            )
+            kept = rnd(computer, result.ids, result.dists, self.max_degree)
+            graph.set_neighbors(node, kept)
+            for nbr in kept:
+                nbr = int(nbr)
+                merged = np.concatenate([graph.neighbors(nbr), [node]])
+                if merged.size > self.max_degree:
+                    dists = computer.one_to_many(nbr, merged)
+                    merged = rnd(computer, merged, dists, self.max_degree)
+                graph.set_neighbors(nbr, merged)
+            inserted.append(node)
+        return int(order[0])
+
+
 def _same_graph(a, b):
     (a_ptr, a_idx), (b_ptr, b_idx) = a.graph.to_csr(), b.graph.to_csr()
     return np.array_equal(a_ptr, b_ptr) and np.array_equal(a_idx, b_idx)
@@ -217,3 +258,15 @@ def test_vamana_default_rounds_stay_in_the_sequential_band(dataset):
     got = run_workload(built["python"], queries, truth, 10, 64)
     assert abs(got.recall - want.recall) <= 0.01
     assert got.mean_distance_calls == pytest.approx(want.mean_distance_calls, rel=0.05)
+
+
+ELPIS = {"leaf_size": 64, "max_degree": 8, "ef_construction": 24}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_elpis_leaf_graphs_equal_per_node_loop(kernel, data):
+    expected = PerNodeELPIS(seed=3, **ELPIS).build(data)
+    built = _with_kernel(ELPISIndex(seed=3, **ELPIS), kernel).build(data)
+    assert len(built._leaves) > 1
+    assert _same_graph(expected, built)
+    assert built.build_report.distance_calls == expected.build_report.distance_calls
